@@ -11,12 +11,14 @@
 
    The headline figure is the TAV / rw-msg committed-throughput ratio at
    the widest domain count, gated at >= [threshold_x] (E19 in
-   EXPERIMENTS.md; the gate is looser than par/throughput's because the
-   wire overhead is scheme-independent and dilutes the ratio).
+   EXPERIMENTS.md).  The wire reader parses frames in place, so the
+   per-request wire cost is small next to the engine's and the measured
+   ratio sits well above the gate.
 
-   Results go to stdout and BENCH_net.json.  [--quick] shrinks the load
-   for CI smoke and regression runs (recorded in the JSON so the
-   regression script normalises wall time per request). *)
+   Results go to stdout and BENCH_net.json, with the host they were
+   measured on.  [--quick] shrinks the load for CI smoke and regression
+   runs (recorded in the JSON so the regression script normalises wall
+   time per request). *)
 
 module Workload = Tavcc_sim.Workload
 module Rng = Tavcc_sim.Rng
@@ -164,6 +166,23 @@ let run_config ~an ~schema ~requests ~repeats name mk domains =
     p99_us = median.Blast.lat_p99_us;
   }
 
+(* Host provenance for the JSON: the logical CPUs [nproc] reports
+   (None when it cannot run), the runtime's domain recommendation and
+   the compiler. *)
+let nproc () =
+  match Unix.open_process_in "nproc 2>/dev/null" with
+  | exception Unix.Unix_error _ -> None
+  | ic ->
+      let n = try int_of_string_opt (String.trim (input_line ic)) with End_of_file -> None in
+      ignore (Unix.close_process_in ic);
+      n
+
+let host_json () =
+  Printf.sprintf "{\"nproc\": %s, \"recommended_domain_count\": %d, \"ocaml\": \"%s\"}"
+    (match nproc () with Some n -> string_of_int n | None -> "null")
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
+
 let json_of_row r =
   Printf.sprintf
     "    {\"scheme\": \"%s\", \"domains\": %d, \"requests\": %d, \"committed\": %d, \
@@ -214,9 +233,9 @@ let () =
     "  \"clients\": %d,\n  \"requests_per_client\": %d,\n  \"pipeline\": %d,\n\
     \  \"actions_per_txn\": %d,\n  \"slices\": %d,\n  \"work\": %d,\n\
     \  \"instances\": %d,\n  \"hot\": %d,\n  \"shards\": %d,\n  \"repeats\": %d,\n\
-    \  \"seed\": %d,\n  \"quick\": %b,\n  \"threshold_x\": %.1f,\n"
+    \  \"seed\": %d,\n  \"quick\": %b,\n  \"threshold_x\": %.1f,\n  \"host\": %s,\n"
     clients requests pipeline actions_per_txn slices work instances hot shards repeats
-    seed quick threshold_x;
+    seed quick threshold_x (host_json ());
   output_string oc "  \"rows\": [\n";
   output_string oc (String.concat ",\n" (List.map json_of_row rows));
   output_string oc "\n  ],\n";

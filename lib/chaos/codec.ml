@@ -88,28 +88,70 @@ let payload (r : Wal.record) =
 
 let hex_digits = "0123456789abcdef"
 
+let put_hex8 b pos v =
+  for i = 0 to 7 do
+    Bytes.unsafe_set b (pos + i) hex_digits.[(v lsr ((7 - i) * 4)) land 15]
+  done
+
 let to_hex8 v =
   let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.unsafe_set b i hex_digits.[(v lsr ((7 - i) * 4)) land 15]
-  done;
+  put_hex8 b 0 v;
   Bytes.unsafe_to_string b
 
 (* FNV-1a folded to 32 bits: torn/flipped-frame detection, not crypto —
    and an order of magnitude cheaper than a digest on the per-record
    logging path. *)
-let checksum payload =
+let fnv32_sub b pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.fnv32_sub";
   let h = ref 0x811c9dc5 in
-  String.iter (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xffffffff) payload;
-  to_hex8 !h
+  for i = pos to pos + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xffffffff
+  done;
+  !h
 
-let encode_record r =
-  let p = payload r in
-  let b = Buffer.create (String.length p + 16) in
-  Buffer.add_string b (to_hex8 (String.length p));
-  Buffer.add_string b (checksum p);
-  Buffer.add_string b p;
-  Buffer.contents b
+let frame p =
+  let n = String.length p in
+  let b = Bytes.create (16 + n) in
+  put_hex8 b 0 n;
+  put_hex8 b 8 (fnv32_sub (Bytes.unsafe_of_string p) 0 n);
+  Bytes.blit_string p 0 b 16 n;
+  Bytes.unsafe_to_string b
+
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | _ -> -1
+
+(* The 8-hex field at [pos], or -1 if a digit is not lowercase hex. *)
+let hex8 b pos =
+  let rec go i acc =
+    if i = 8 then acc
+    else
+      let d = hex_digit (Bytes.get b (pos + i)) in
+      if d < 0 then -1 else go (i + 1) ((acc lsl 4) lor d)
+  in
+  go 0 0
+
+let scan ?(max = max_int) b ~pos ~stop =
+  if pos < 0 || stop > Bytes.length b then invalid_arg "Codec.scan";
+  let avail = stop - pos in
+  if avail < 8 then
+    (* even a partial length must be hex, or no completion exists *)
+    let rec chk i =
+      if i >= avail then `Incomplete
+      else if hex_digit (Bytes.get b (pos + i)) < 0 then `Corrupt "non-hex length"
+      else chk (i + 1)
+    in
+    chk 0
+  else
+    let len = hex8 b pos in
+    if len < 0 then `Corrupt "non-hex length"
+    else if len > max then `Corrupt (Printf.sprintf "oversized frame (%d bytes)" len)
+    else if avail < 16 + len then `Incomplete
+    else if hex8 b (pos + 8) <> fnv32_sub b (pos + 16) len then `Corrupt "checksum mismatch"
+    else `Frame (pos + 16, len)
+
+let encode_record r = frame (payload r)
 
 let encode rs = String.concat "" (List.map encode_record rs)
 
@@ -208,26 +250,17 @@ let dec_record p : Wal.record =
   if c.pos <> String.length p then raise Torn;
   r
 
-let hex_int s = match int_of_string_opt ("0x" ^ s) with Some n -> n | None -> raise Torn
-
 let decode_from s =
-  let c = { s; pos = 0 } in
-  let acc = ref [] in
-  (try
-     while c.pos < String.length s do
-       let saved = c.pos in
-       try
-         let len = hex_int (take c 8) in
-         let sum = take c 8 in
-         let p = take c len in
-         if checksum p <> sum then raise Torn;
-         acc := dec_record p :: !acc
-       with Torn ->
-         c.pos <- saved;
-         raise Torn
-     done
-   with Torn -> ());
-  (List.rev !acc, c.pos)
+  let b = Bytes.unsafe_of_string s in
+  let rec go pos acc =
+    match scan b ~pos ~stop:(String.length s) with
+    | `Frame (off, len) -> (
+        match dec_record (String.sub s off len) with
+        | r -> go (off + len) (r :: acc)
+        | exception Torn -> (List.rev acc, pos))
+    | `Incomplete | `Corrupt _ -> (List.rev acc, pos)
+  in
+  go 0 []
 
 let decode s = fst (decode_from s)
 

@@ -15,6 +15,41 @@
     image, cuts it at a byte offset, decodes, and feeds the surviving
     prefix to {!Tavcc_recovery.Restart.recover}. *)
 
+(** {1 The frame envelope}
+
+    One format for the framed byte streams in the tree: WAL records
+    here, wire messages ({!Tavcc_net.Wire}) and the page store's
+    double-write entries are all frames, and the page store's headers
+    use the same hex fields and checksum. *)
+
+val frame : string -> string
+(** [<8 hex: length><8 hex: FNV-1a/32 of payload><payload>]. *)
+
+val to_hex8 : int -> string
+(** The low 32 bits as 8 lowercase hex digits. *)
+
+val fnv32_sub : bytes -> int -> int -> int
+(** [fnv32_sub b pos len]: FNV-1a/32 of [len] bytes of [b] from [pos],
+    read in place — what lets a reader check a frame without copying it.
+    @raise Invalid_argument if the range is not inside [b] *)
+
+val scan :
+  ?max:int ->
+  bytes ->
+  pos:int ->
+  stop:int ->
+  [ `Frame of int * int | `Incomplete | `Corrupt of string ]
+(** The one frame scanner.  [scan b ~pos ~stop] inspects the bytes of
+    [b] from [pos] up to [stop] in place, copying nothing:
+    [`Frame (off, len)] locates the payload of a whole valid frame (the
+    next frame starts at [off + len]); [`Incomplete] means more bytes
+    may complete it, and every strict prefix of a valid frame is
+    [`Incomplete]; [`Corrupt] means no continuation can (a non-hex
+    length, one above [max], or a checksum mismatch).
+    @raise Invalid_argument if [pos < 0] or [stop] is past the end of [b] *)
+
+(** {1 WAL records} *)
+
 val encode_record : Tavcc_recovery.Wal.record -> string
 (** One framed record. *)
 

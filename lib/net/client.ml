@@ -10,6 +10,7 @@ let recv t =
     match Wire.Io.read_frame t.io with
     | Ok payload -> Wire.decode_resp payload
     | Error `Eof -> Error "connection closed by server"
+    | Error `Timeout -> Error "receive timed out"
     | Error (`Corrupt msg) -> Error ("corrupt frame: " ^ msg)
 
 let call t req = match send t req with Ok () -> recv t | Error _ as e -> e

@@ -18,7 +18,8 @@ val connect :
   (t * [ `Welcome of string * string ], string) result
 (** Dials, performs the Hello/Welcome handshake, and returns the
     server's scheme name and banner.  [recv_timeout_s] arms
-    [SO_RCVTIMEO] — a read past it fails instead of hanging (tests). *)
+    [SO_RCVTIMEO]: a handshake or {!recv} past it returns
+    [Error "receive timed out"] instead of hanging. *)
 
 val send : t -> Wire.req -> (unit, string) result
 

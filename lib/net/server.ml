@@ -175,7 +175,7 @@ let protocol_error t ss msg =
 
 let handshake t ss =
   match Wire.Io.read_frame ss.ss_io with
-  | Error `Eof -> false
+  | Error (`Eof | `Timeout) -> false
   | Error (`Corrupt msg) ->
       protocol_error t ss ("bad frame: " ^ msg);
       false
@@ -215,7 +215,7 @@ let session_loop t ss =
   let session_requests = session_series t ss "net.session.requests" in
   let rec loop () =
     match Wire.Io.read_frame ss.ss_io with
-    | Error `Eof -> ()
+    | Error (`Eof | `Timeout) -> ()
     | Error (`Corrupt msg) -> protocol_error t ss ("bad frame: " ^ msg)
     | Ok payload -> (
         match Wire.decode_req payload with

@@ -1,7 +1,7 @@
 open Tavcc_model
 open Tavcc_cc
 
-let protocol_version = 1
+let protocol_version = 2
 let max_payload = 1 lsl 20
 
 type req =
@@ -348,35 +348,17 @@ let pp_resp ppf = function
   | Err m -> Format.fprintf ppf "Err{%s}" m
   | Bye -> Format.pp_print_string ppf "Bye"
 
-(* --- framing --- *)
+(* --- framing: the chaos codec's envelope --- *)
 
-let checksum payload = String.sub (Digest.to_hex (Digest.string payload)) 0 8
-let frame payload = Printf.sprintf "%08x%s%s" (String.length payload) (checksum payload) payload
+let frame = Tavcc_chaos.Codec.frame
 
-let is_hex ch = (ch >= '0' && ch <= '9') || (ch >= 'a' && ch <= 'f')
+(* The scanner [unframe] and [Io.read_frame] share. *)
+let scan b ~pos ~stop = Tavcc_chaos.Codec.scan ~max:max_payload b ~pos ~stop
 
 let unframe buf ~pos =
-  let avail = String.length buf - pos in
-  if avail < 8 then
-    (* even a partial length must be hex, or no completion exists *)
-    let rec chk i =
-      if i >= avail then `Incomplete
-      else if is_hex buf.[pos + i] then chk (i + 1)
-      else `Corrupt "non-hex length"
-    in
-    chk 0
-  else
-    let hex = String.sub buf pos 8 in
-    if not (String.for_all is_hex hex) then `Corrupt "non-hex length"
-    else
-      let len = int_of_string ("0x" ^ hex) in
-      if len > max_payload then `Corrupt (Printf.sprintf "oversized frame (%d bytes)" len)
-      else if avail < 16 + len then `Incomplete
-      else
-        let sum = String.sub buf (pos + 8) 8 in
-        let payload = String.sub buf (pos + 16) len in
-        if not (String.equal sum (checksum payload)) then `Corrupt "checksum mismatch"
-        else `Frame (payload, pos + 16 + len)
+  match scan (Bytes.unsafe_of_string buf) ~pos ~stop:(String.length buf) with
+  | `Frame (off, len) -> `Frame (String.sub buf off len, off + len)
+  | (`Incomplete | `Corrupt _) as r -> r
 
 (* --- addresses --- *)
 
@@ -420,38 +402,49 @@ let sockaddr_of_addr = function
 (* --- blocking frame I/O --- *)
 
 module Io = struct
-  type t = { fd : Unix.file_descr; buf : Buffer.t; mutable pos : int }
+  (* One receive buffer per connection: bytes [rd, wr) are received and
+     not yet consumed, the tail [wr, length) is free. *)
+  type t = { fd : Unix.file_descr; mutable buf : Bytes.t; mutable rd : int; mutable wr : int }
 
-  let of_fd fd = { fd; buf = Buffer.create 4096; pos = 0 }
+  let of_fd fd = { fd; buf = Bytes.create 4096; rd = 0; wr = 0 }
   let fd t = t.fd
 
-  let compact t =
-    (* drop consumed bytes once they dominate the buffer *)
-    if t.pos > 65536 && t.pos * 2 > Buffer.length t.buf then begin
-      let rest = Buffer.sub t.buf t.pos (Buffer.length t.buf - t.pos) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf rest;
-      t.pos <- 0
-    end
+  (* The tail is full and the frame at [rd] incomplete: move it down over
+     the consumed bytes, or, if it already starts the buffer, double the
+     buffer up to the largest valid frame (which always fits). *)
+  let make_room t =
+    let live = t.wr - t.rd in
+    if t.rd > 0 then Bytes.blit t.buf t.rd t.buf 0 live
+    else begin
+      let bigger = Bytes.create (min (2 * Bytes.length t.buf) (max_payload + 16)) in
+      Bytes.blit t.buf 0 bigger 0 live;
+      t.buf <- bigger
+    end;
+    t.rd <- 0;
+    t.wr <- live
 
   let read_frame t =
-    let chunk = Bytes.create 4096 in
     let rec go () =
-      match unframe (Buffer.contents t.buf) ~pos:t.pos with
-      | `Frame (payload, next) ->
-          t.pos <- next;
-          compact t;
+      match scan t.buf ~pos:t.rd ~stop:t.wr with
+      | `Frame (off, len) ->
+          let payload = Bytes.sub_string t.buf off len in
+          if off + len = t.wr then begin
+            t.rd <- 0;
+            t.wr <- 0
+          end
+          else t.rd <- off + len;
           Ok payload
       | `Corrupt msg -> Error (`Corrupt msg)
       | `Incomplete -> (
-          match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-          | 0 ->
-              if t.pos = Buffer.length t.buf then Error `Eof
-              else Error (`Corrupt "truncated frame")
+          if t.wr = Bytes.length t.buf then make_room t;
+          match Unix.read t.fd t.buf t.wr (Bytes.length t.buf - t.wr) with
+          | 0 -> Error (if t.rd = t.wr then `Eof else `Corrupt "truncated frame")
           | n ->
-              Buffer.add_subbytes t.buf chunk 0 n;
+              t.wr <- t.wr + n;
               go ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              Error `Timeout
           | exception
               Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
               Error `Eof)
@@ -459,8 +452,7 @@ module Io = struct
     go ()
 
   let write t payload =
-    let s = frame payload in
-    let b = Bytes.of_string s in
+    let b = Bytes.unsafe_of_string (frame payload) in
     let rec put off =
       if off >= Bytes.length b then Ok ()
       else

@@ -1,9 +1,9 @@
 (** The oosim wire protocol.
 
-    Same framing discipline as the chaos WAL codec ({!Tavcc_chaos.Codec}):
-    every message travels as
+    Messages travel in the chaos WAL codec's envelope, built by
+    {!Tavcc_chaos.Codec.frame}:
 
-    {v <8 hex: payload length> <8 hex: md5 prefix of payload> <payload> v}
+    {v <8 hex: payload length> <8 hex: FNV-1a/32 of payload> <payload> v}
 
     so a reader can always tell "not yet enough bytes" ({!Incomplete})
     from "bytes are wrong" ({!Corrupt}) — the length is validated before
@@ -76,13 +76,14 @@ val pp_resp : Format.formatter -> resp -> unit
 (** {1 Framing} *)
 
 val frame : string -> string
-(** Length + checksum + payload. *)
+(** Length + checksum + payload: {!Tavcc_chaos.Codec.frame}. *)
 
 val unframe : string -> pos:int -> [ `Frame of string * int | `Incomplete | `Corrupt of string ]
 (** [unframe buf ~pos] inspects the bytes from [pos]: [`Frame (payload,
     next_pos)] on a whole valid frame, [`Incomplete] when more bytes may
     complete it, [`Corrupt] when no continuation can (bad hex, oversized
-    length, checksum mismatch). *)
+    length, checksum mismatch).  The same scanner as {!Io.read_frame}.
+    @raise Invalid_argument if [pos] is negative *)
 
 (** {1 Addresses} *)
 
@@ -101,10 +102,16 @@ module Io : sig
 
   val of_fd : Unix.file_descr -> t
 
-  val read_frame : t -> (string, [ `Eof | `Corrupt of string ]) result
+  val read_frame : t -> (string, [ `Eof | `Timeout | `Corrupt of string ]) result
   (** Blocks for one whole frame.  A clean EOF at a frame boundary is
       [`Eof]; EOF mid-frame is [`Corrupt "truncated frame"]; a reset
-      connection reads as [`Eof]. *)
+      connection reads as [`Eof]; a read past the socket's
+      [SO_RCVTIMEO] is [`Timeout].
+
+      The frame is checked in place in the connection's one receive
+      buffer and only its payload is copied out, so a frame costs
+      O(its size).  The buffer grows to the largest frame seen (at most
+      [max_payload + 16] bytes) and is reused. *)
 
   val write : t -> string -> (unit, string) result
   (** Frames the payload and writes it whole. *)

@@ -152,7 +152,10 @@ let drive cfg eng tally =
       Engine.abort eng k;
       tally.t_aborts <- tally.t_aborts + 1;
       live := List.filter (fun (x, _) -> not (List.mem x !added)) !live;
-      List.iter (fun rc -> live := rc :: !live) !removed
+      (* an instance created and deleted in this transaction is gone too *)
+      List.iter
+        (fun ((x, _) as rc) -> if not (List.mem x !added) then live := rc :: !live)
+        !removed
     end
     else begin
       Engine.commit eng k;
@@ -340,9 +343,12 @@ let run_plan cfg (plan : Fault.plan) =
   let tally = fresh_tally () in
   let label = Fault.to_string plan in
   let eng = Engine.create (engine_config cfg ~dir ~io_hook:(Some (hook_of_plan plan))) in
-  match drive cfg eng tally with
+  (* the closing checkpoint writes too, so a planned crash may land in it *)
+  match
+    drive cfg eng tally;
+    Engine.close eng
+  with
   | () ->
-      Engine.close eng;
       let st = capture dir tally.t_acked label in
       let violations, dump_s = recover_and_check cfg st in
       let digest =

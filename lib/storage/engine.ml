@@ -147,35 +147,28 @@ let wal_flush t =
 let dblwr_entry pid img =
   let plen = 8 + Bytes.length img in
   let b = Bytes.create (16 + plen) in
-  Bytes.blit_string (Page.to_hex8 plen) 0 b 0 8;
-  Bytes.blit_string (Page.to_hex8 pid) 0 b 16 8;
+  Bytes.blit_string (Codec.to_hex8 plen) 0 b 0 8;
+  Bytes.blit_string (Codec.to_hex8 pid) 0 b 16 8;
   Bytes.blit img 0 b 24 (Bytes.length img);
-  Bytes.blit_string (Page.sum8_sub b 16 plen) 0 b 8 8;
+  Bytes.blit_string (Codec.to_hex8 (Codec.fnv32_sub b 16 plen)) 0 b 8 8;
   b
 
 let dblwr_decode s =
   (* longest valid prefix of (pid, page image) entries; later entries for
      the same pid win *)
   let entries = Hashtbl.create 8 in
-  let pos = ref 0 in
-  let n = String.length s in
-  (try
-     while !pos + 16 <= n do
-       let len =
-         match int_of_string_opt ("0x" ^ String.sub s !pos 8) with
-         | Some l when l >= 8 && !pos + 16 + l <= n -> l
-         | _ -> raise Exit
-       in
-       let sum = String.sub s (!pos + 8) 8 in
-       let payload = String.sub s (!pos + 16) len in
-       if Page.sum8 payload <> sum then raise Exit;
-       (match int_of_string_opt ("0x" ^ String.sub payload 0 8) with
-       | Some pid ->
-           Hashtbl.replace entries pid (Bytes.of_string (String.sub payload 8 (len - 8)))
-       | None -> raise Exit);
-       pos := !pos + 16 + len
-     done
-   with Exit -> ());
+  let b = Bytes.unsafe_of_string s in
+  let rec go pos =
+    match Codec.scan b ~pos ~stop:(Bytes.length b) with
+    | `Frame (off, len) when len >= 8 -> (
+        match int_of_string_opt ("0x" ^ String.sub s off 8) with
+        | Some pid ->
+            Hashtbl.replace entries pid (Bytes.sub b (off + 8) (len - 8));
+            go (off + len)
+        | None -> ())
+    | `Frame _ | `Incomplete | `Corrupt _ -> ()
+  in
+  go 0;
   entries
 
 (* --- pages through the pool --- *)
@@ -394,7 +387,7 @@ let meta_write t =
       t.next_pid
   in
   Bytes.blit_string payload 0 b 8 (String.length payload);
-  let sum = Page.sum8_sub b 8 (t.cfg.page_size - 8) in
+  let sum = Codec.to_hex8 (Codec.fnv32_sub b 8 (t.cfg.page_size - 8)) in
   Bytes.blit_string sum 0 b 0 8;
   hooked_write t Meta_write t.data_fd 0 b;
   maybe_fsync t t.data_fd
@@ -404,7 +397,7 @@ let meta_read ~page_size fd =
   if Page.is_zero b then None
   else
     let sum = Bytes.sub_string b 0 8 in
-    if Page.sum8_sub b 8 (page_size - 8) <> sum then None
+    if Codec.to_hex8 (Codec.fnv32_sub b 8 (page_size - 8)) <> sum then None
     else if Bytes.sub_string b 8 4 <> meta_magic then None
     else
       let hex pos width = int_of_string_opt ("0x" ^ Bytes.sub_string b pos width) in

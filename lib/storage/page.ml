@@ -1,31 +1,14 @@
 open Tavcc_model
+module Codec = Tavcc_chaos.Codec
 
 (* --- fixed-width hex fields ---
 
    The whole header is printable hex, same discipline as the chaos
    Codec frames: torn writes tear mid-digit and fail to parse, and a
-   page image diffs cleanly in a hexdump. *)
+   page image diffs cleanly in a hexdump.  The checksum is the Codec's
+   FNV-1a/32. *)
 
 let hex_digits = "0123456789abcdef"
-
-let to_hex8 v =
-  let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.unsafe_set b i hex_digits.[(v lsr ((7 - i) * 4)) land 15]
-  done;
-  Bytes.unsafe_to_string b
-
-(* FNV-1a folded to 32 bits — same family as the WAL frame checksum:
-   catches torn and bit-flipped images, costs a tight byte loop instead
-   of a digest per page write. *)
-let sum8_sub b pos len =
-  let h = ref 0x811c9dc5 in
-  for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xffffffff
-  done;
-  to_hex8 !h
-
-let sum8 s = sum8_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let put_hex buf pos width v =
   let rec go i v =
@@ -207,7 +190,7 @@ let replace t i payload =
 
 (* --- checksummed (de)serialisation --- *)
 
-let checksum_of t = sum8_sub t.buf 8 (size t - 8)
+let checksum_of t = Codec.to_hex8 (Codec.fnv32_sub t.buf 8 (size t - 8))
 
 let to_bytes t =
   let copy = { buf = Bytes.copy t.buf } in

@@ -16,17 +16,6 @@ open Tavcc_model
 
 type t
 
-val to_hex8 : int -> string
-(** Fixed-width lowercase hex of the low 32 bits — the framing integer
-    discipline shared with the chaos codec. *)
-
-val sum8 : string -> string
-(** 8-hex FNV-1a/32 checksum — the frame/page corruption detector shared
-    by the engine's double-write buffer and meta page. *)
-
-val sum8_sub : bytes -> int -> int -> string
-(** [sum8_sub b pos len]: {!sum8} over a byte range, no copy. *)
-
 val min_size : int
 val header_size : int
 val slot_entry : int

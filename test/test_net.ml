@@ -4,7 +4,9 @@
    - codec totality (qcheck): random messages round-trip canonically,
      every byte-prefix cut of a frame stays [`Incomplete] (mirroring the
      chaos WAL cut property), every single-bit flip is caught by the
-     checksum, and the decoders never raise on garbage;
+     checksum, and the decoders never raise on garbage; one [Wire.Io]
+     reads a long stream in random chunks, in order and in bounded
+     allocation per frame;
    - the job service: submit/drain bookkeeping, deterministic admission
      control (workers wedged behind a held lock fill the queue), and
      [Closed] after stop;
@@ -13,8 +15,9 @@
      guarantee the server leans on when a client vanishes;
    - end-to-end over a real unix socket: commits flow, an abrupt
      disconnect mid-transaction frees its locks for the next client,
-     and bad handshakes (version, digest, garbage bytes) are refused
-     with [Err] rather than a hang or a crash. *)
+     bad handshakes (version, digest, garbage bytes) are refused
+     with [Err] rather than a hang or a crash, and a silent peer times
+     out with an error result. *)
 
 open Tavcc_model
 open Tavcc_cc
@@ -212,6 +215,107 @@ let garbage_total =
       (match Wire.decode_resp s with Ok _ | Error _ -> ());
       (match Wire.unframe s ~pos:0 with `Frame _ | `Incomplete | `Corrupt _ -> ());
       true)
+
+(* --- one Io past 64 KiB --------------------------------------------------- *)
+
+(* 12 000 small frames and one 100 KB payload in the middle: past the
+   initial 4 KiB receive buffer and past 64 KiB through one [Io], so the
+   reader both moves unread bytes down and grows its buffer. *)
+let long_payloads =
+  Array.init 12_001 (fun i ->
+      if i = 6_000 then String.init 100_000 (fun j -> Char.chr (j land 255))
+      else Printf.sprintf "frame %d %s" i (String.make (i mod 61) 'x'))
+
+(* Streams [bytes] into a fresh [Io] through a socketpair, from a writer
+   thread that cuts them into random chunks of 1 B to 8 KiB, and returns
+   what [f] makes of the reading end.  The cuts are drawn up front so the
+   writer allocates nothing while [f] counts words. *)
+let with_streamed_io ~seed bytes f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let rng = Random.State.make [| seed |] in
+  let rec draw acc sum =
+    if sum >= String.length bytes then Array.of_list acc
+    else
+      let n = 1 + Random.State.int rng 8192 in
+      draw (n :: acc) (sum + n)
+  in
+  let cuts = draw [] 0 in
+  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer () =
+    let b = Bytes.unsafe_of_string bytes in
+    let off = ref 0 in
+    (try
+       Array.iter
+         (fun n -> off := !off + Unix.write wr b !off (Int.min n (Bytes.length b - !off)))
+         cuts
+     with Unix.Unix_error _ -> (* the reader stopped early and hung up *) ());
+    Unix.close wr
+  in
+  let th = Thread.create writer () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rd;
+      Thread.join th)
+    (fun () -> f (Wire.Io.of_fd rd))
+
+(* Reads until the first error: how many payloads came back, whether
+   they matched [long_payloads] in order, and the error. *)
+let read_until_error io =
+  let n = ref 0 and in_order = ref true in
+  let rec go () =
+    match Wire.Io.read_frame io with
+    | Ok p ->
+        if !n >= Array.length long_payloads || not (String.equal p long_payloads.(!n)) then
+          in_order := false;
+        incr n;
+        go ()
+    | Error e -> e
+  in
+  let e = go () in
+  (!n, !in_order, e)
+
+let show_read_error = function
+  | `Eof -> "Eof"
+  | `Timeout -> "Timeout"
+  | `Corrupt m -> "Corrupt " ^ m
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_io_long_stream () =
+  let frames = Array.map Wire.frame long_payloads in
+  let total = Array.length frames in
+  let check_read what ~count ~err (n, in_order, e) =
+    Alcotest.(check int) (what ^ ": payloads read") count n;
+    Alcotest.(check bool) (what ^ ": payloads in order") true in_order;
+    Alcotest.(check string) (what ^ ": how it ends") err (show_read_error e)
+  in
+  (* a clean end, and the reader's allocation per frame *)
+  let stream = String.concat "" (Array.to_list frames) in
+  let result, words =
+    with_streamed_io ~seed:1 stream (fun io ->
+        let w0 = allocated_words () in
+        let r = read_until_error io in
+        (r, allocated_words () -. w0))
+  in
+  check_read "clean end" ~count:total ~err:"Eof" result;
+  let per_frame = words /. float_of_int total in
+  if per_frame > 512. then
+    Alcotest.failf "%.0f words allocated per frame (bound 512)" per_frame;
+  (* EOF in the middle of a frame *)
+  let extra = Wire.frame "one frame too many" in
+  let cut = stream ^ String.sub extra 0 (String.length extra / 2) in
+  with_streamed_io ~seed:2 cut read_until_error
+  |> check_read "cut short" ~count:total ~err:"Corrupt truncated frame";
+  (* a bad checksum after many good frames *)
+  let bad = 9_000 in
+  let flipped = Bytes.of_string frames.(bad) in
+  let last = Bytes.length flipped - 1 in
+  Bytes.set flipped last (Char.chr (Char.code (Bytes.get flipped last) lxor 1));
+  frames.(bad) <- Bytes.to_string flipped;
+  with_streamed_io ~seed:3 (String.concat "" (Array.to_list frames)) read_until_error
+  |> check_read "flipped payload" ~count:bad ~err:"Corrupt checksum mismatch"
 
 let test_addr_strings () =
   (match Wire.addr_of_string "unix:/tmp/x.sock" with
@@ -573,6 +677,32 @@ let test_e2e_handshake_refusals () =
           ());
       try Unix.close raw with Unix.Unix_error _ -> ())
 
+(* A peer that accepts and never answers: [SO_RCVTIMEO] surfaces as an
+   error result, on the handshake and on an idle session alike. *)
+let test_silent_peer_times_out () =
+  incr sock_counter;
+  let path =
+    Printf.sprintf "%s/tavcc-silent-%d-%d.sock" (Filename.get_temp_dir_name ())
+      (Unix.getpid ()) !sock_counter
+  in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let handshake = Client.connect ~recv_timeout_s:0.2 ~addr:(Wire.Unix_sock path) () in
+  Unix.close lfd;
+  Sys.remove path;
+  (match handshake with
+  | Error msg -> Alcotest.(check string) "handshake" "receive timed out" msg
+  | Ok _ -> Alcotest.fail "handshake with a silent peer succeeded");
+  with_server (fun ~addr ~store:_ ~srv:_ ->
+      match Client.connect ~recv_timeout_s:0.2 ~addr () with
+      | Error e -> Alcotest.failf "connect: %s" e
+      | Ok (c, _) ->
+          (match Client.recv c with
+          | Error msg -> Alcotest.(check string) "idle recv" "receive timed out" msg
+          | Ok r -> Alcotest.failf "unsolicited %a" Wire.pp_resp r);
+          Client.quit c)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest roundtrip_req;
@@ -580,6 +710,8 @@ let suite =
     QCheck_alcotest.to_alcotest every_cut;
     QCheck_alcotest.to_alcotest bit_flip;
     QCheck_alcotest.to_alcotest garbage_total;
+    Alcotest.test_case "wire: one Io past 64 KiB, in order, bounded words" `Quick
+      test_io_long_stream;
     Alcotest.test_case "addr strings parse and round-trip" `Quick test_addr_strings;
     Alcotest.test_case "service: submit + drain + stop" `Quick test_service_submit_drain;
     Alcotest.test_case "service: admission control sheds at capacity" `Quick
@@ -595,4 +727,6 @@ let suite =
       test_e2e_abrupt_disconnect_releases_locks;
     Alcotest.test_case "e2e: handshake refusals (digest, version, garbage)" `Quick
       test_e2e_handshake_refusals;
+    Alcotest.test_case "client: a silent peer times out, no raise" `Quick
+      test_silent_peer_times_out;
   ]
