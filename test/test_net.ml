@@ -627,11 +627,11 @@ let test_e2e_abrupt_disconnect_releases_locks () =
 
 let test_e2e_handshake_refusals () =
   with_server ~digest:"right-digest" (fun ~addr ~store:_ ~srv:_ ->
-      (* wrong digest *)
+      (* wrong digest: an explicit refusal, not a receive timeout *)
       (match Client.connect ~recv_timeout_s:10.0 ~digest:"wrong-digest" ~addr () with
       | Error msg ->
-          Alcotest.(check bool) "digest named in refusal" true
-            (String.length msg > 0)
+          Alcotest.(check string) "digest named in refusal"
+            "server refused: workload digest mismatch" msg
       | Ok _ -> Alcotest.fail "digest mismatch accepted");
       (* matching digest still welcome *)
       (match Client.connect ~recv_timeout_s:10.0 ~digest:"right-digest" ~addr () with
@@ -640,6 +640,7 @@ let test_e2e_handshake_refusals () =
       (* stale protocol version *)
       let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect raw (Wire.sockaddr_of_addr addr);
+      Unix.setsockopt_float raw Unix.SO_RCVTIMEO 10.0;
       let io = Wire.Io.of_fd raw in
       (match
          Wire.Io.write io
@@ -651,11 +652,15 @@ let test_e2e_handshake_refusals () =
       | Ok payload -> (
           match Wire.decode_resp payload with
           | Ok (Wire.Err msg) ->
-              Alcotest.(check bool) "version mismatch reported" true
-                (String.length msg > 0)
+              Alcotest.(check string) "version mismatch reported"
+                (Printf.sprintf "protocol version mismatch: server %d, client 99"
+                   Wire.protocol_version)
+                msg
           | Ok r -> Alcotest.failf "expected Err, got %a" Wire.pp_resp r
           | Error e -> Alcotest.failf "decode: %s" e)
-      | Error _ -> Alcotest.fail "no Err for version mismatch");
+      | Error `Timeout -> Alcotest.fail "server hung on a version mismatch"
+      | Error `Eof -> Alcotest.fail "no Err for version mismatch"
+      | Error (`Corrupt e) -> Alcotest.failf "corrupt reply: %s" e);
       (try Unix.close raw with Unix.Unix_error _ -> ());
       (* raw garbage: the server answers Err and drops the session
          rather than crashing or hanging *)
@@ -672,9 +677,10 @@ let test_e2e_handshake_refusals () =
           | Ok (Wire.Err _) -> ()
           | Ok r -> Alcotest.failf "expected Err, got %a" Wire.pp_resp r
           | Error e -> Alcotest.failf "decode: %s" e)
-      | Error _ ->
+      | Error (`Eof | `Corrupt _) ->
           (* also acceptable: the server hung up on us immediately *)
-          ());
+          ()
+      | Error `Timeout -> Alcotest.fail "server hung on garbage instead of refusing");
       try Unix.close raw with Unix.Unix_error _ -> ())
 
 (* A peer that accepts and never answers: [SO_RCVTIMEO] surfaces as an

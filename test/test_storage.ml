@@ -398,6 +398,23 @@ let test_matrix_smoke () =
         true (Matrix.ok r);
       Alcotest.(check bool) "injections actually fired" true (r.Matrix.m_crashes_fired > 0))
 
+(* Seeds the random property once drew and failed on, pinned. *)
+let matrix_seeds_ok seeds =
+  List.iter
+    (fun seed ->
+      with_dir (Printf.sprintf "matrix_%d" seed) (fun dir ->
+          let r = Matrix.run (matrix_config ~dir ~seed) in
+          Alcotest.(check bool)
+            (Format.asprintf "seed %d: %a" seed Matrix.pp_report r)
+            true (Matrix.ok r)))
+    seeds
+
+(* a planned crash lands in the checkpoint [Engine.close] writes *)
+let test_matrix_crash_in_close () = matrix_seeds_ok [ 521383 ]
+
+(* an instance is created and deleted inside a transaction that aborts *)
+let test_matrix_abort_create_delete () = matrix_seeds_ok [ 50631; 540531 ]
+
 let prop_matrix_seeds =
   QCheck.Test.make ~count:6 ~name:"crash matrix: zero violations across seeds" seed_arb
     (fun seed ->
@@ -424,5 +441,9 @@ let suite =
     Alcotest.test_case "engine: abort rolls back and stays rolled back" `Quick
       test_engine_abort_rolls_back;
     Alcotest.test_case "crash matrix: smoke" `Quick test_matrix_smoke;
+    Alcotest.test_case "crash matrix: crash in the closing checkpoint" `Quick
+      test_matrix_crash_in_close;
+    Alcotest.test_case "crash matrix: aborted create+delete stays gone" `Quick
+      test_matrix_abort_create_delete;
     QCheck_alcotest.to_alcotest prop_matrix_seeds;
   ]
