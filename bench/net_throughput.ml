@@ -166,23 +166,6 @@ let run_config ~an ~schema ~requests ~repeats name mk domains =
     p99_us = median.Blast.lat_p99_us;
   }
 
-(* Host provenance for the JSON: the logical CPUs [nproc] reports
-   (None when it cannot run), the runtime's domain recommendation and
-   the compiler. *)
-let nproc () =
-  match Unix.open_process_in "nproc 2>/dev/null" with
-  | exception Unix.Unix_error _ -> None
-  | ic ->
-      let n = try int_of_string_opt (String.trim (input_line ic)) with End_of_file -> None in
-      ignore (Unix.close_process_in ic);
-      n
-
-let host_json () =
-  Printf.sprintf "{\"nproc\": %s, \"recommended_domain_count\": %d, \"ocaml\": \"%s\"}"
-    (match nproc () with Some n -> string_of_int n | None -> "null")
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version
-
 let json_of_row r =
   Printf.sprintf
     "    {\"scheme\": \"%s\", \"domains\": %d, \"requests\": %d, \"committed\": %d, \
@@ -235,7 +218,7 @@ let () =
     \  \"instances\": %d,\n  \"hot\": %d,\n  \"shards\": %d,\n  \"repeats\": %d,\n\
     \  \"seed\": %d,\n  \"quick\": %b,\n  \"threshold_x\": %.1f,\n  \"host\": %s,\n"
     clients requests pipeline actions_per_txn slices work instances hot shards repeats
-    seed quick threshold_x (host_json ());
+    seed quick threshold_x (Host.json ());
   output_string oc "  \"rows\": [\n";
   output_string oc (String.concat ",\n" (List.map json_of_row rows));
   output_string oc "\n  ],\n";

@@ -16,8 +16,9 @@
      run: the pool + row cache must absorb the IO path, not serialise
      every access through a page read.
 
-   Results go to stdout and BENCH_storage.json; [--quick] shrinks the
-   workload for CI smoke and regression runs. *)
+   Results go to stdout and BENCH_storage.json, with the host they were
+   measured on; [--quick] shrinks the workload for CI smoke and
+   regression runs. *)
 
 module Workload = Tavcc_sim.Workload
 module Rng = Tavcc_sim.Rng
@@ -209,9 +210,9 @@ let () =
     "  \"txns\": %d,\n  \"actions_per_txn\": %d,\n  \"instances\": %d,\n\
     \  \"methods\": %d,\n  \"work\": %d,\n  \"page_size\": %d,\n\
     \  \"pool_frac\": %.2f,\n  \"repeats\": %d,\n  \"seed\": %d,\n  \"quick\": %b,\n\
-    \  \"threshold_x\": %.1f,\n"
+    \  \"threshold_x\": %.1f,\n  \"host\": %s,\n"
     txns actions_per_txn instances methods work page_size pool_frac repeats seed quick
-    threshold_x;
+    threshold_x (Host.json ());
   output_string oc "  \"rows\": [\n";
   output_string oc (String.concat ",\n" (List.map json_of_row [ mem; disk ]));
   output_string oc "\n  ],\n";

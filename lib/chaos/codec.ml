@@ -89,6 +89,7 @@ let payload (r : Wal.record) =
 let hex_digits = "0123456789abcdef"
 
 let put_hex8 b pos v =
+  if pos < 0 || pos > Bytes.length b - 8 then invalid_arg "Codec.put_hex8";
   for i = 0 to 7 do
     Bytes.unsafe_set b (pos + i) hex_digits.[(v lsr ((7 - i) * 4)) land 15]
   done
@@ -104,10 +105,13 @@ let to_hex8 v =
 let fnv32_sub b pos len =
   if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Codec.fnv32_sub";
   let h = ref 0x811c9dc5 in
+  (* one mask after the loop: the low 32 bits of a product depend only
+     on the low 32 bits of its factors, and the wrap-around of the
+     63-bit multiply does not reach them *)
   for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land 0xffffffff
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193
   done;
-  !h
+  !h land 0xffffffff
 
 let frame p =
   let n = String.length p in
@@ -122,8 +126,7 @@ let hex_digit = function
   | 'a' .. 'f' as c -> Char.code c - 87
   | _ -> -1
 
-(* The 8-hex field at [pos], or -1 if a digit is not lowercase hex. *)
-let hex8 b pos =
+let get_hex8 b pos =
   let rec go i acc =
     if i = 8 then acc
     else
@@ -144,11 +147,11 @@ let scan ?(max = max_int) b ~pos ~stop =
     in
     chk 0
   else
-    let len = hex8 b pos in
+    let len = get_hex8 b pos in
     if len < 0 then `Corrupt "non-hex length"
     else if len > max then `Corrupt (Printf.sprintf "oversized frame (%d bytes)" len)
     else if avail < 16 + len then `Incomplete
-    else if hex8 b (pos + 8) <> fnv32_sub b (pos + 16) len then `Corrupt "checksum mismatch"
+    else if get_hex8 b (pos + 8) <> fnv32_sub b (pos + 16) len then `Corrupt "checksum mismatch"
     else `Frame (pos + 16, len)
 
 let encode_record r = frame (payload r)

@@ -28,6 +28,16 @@ val frame : string -> string
 val to_hex8 : int -> string
 (** The low 32 bits as 8 lowercase hex digits. *)
 
+val put_hex8 : bytes -> int -> int -> unit
+(** [put_hex8 b pos v] writes {!to_hex8}[ v] into [b] at [pos], in
+    place.  @raise Invalid_argument if the 8 bytes are not inside [b] *)
+
+val get_hex8 : bytes -> int -> int
+(** [get_hex8 b pos]: the 8-hex field at [pos], read in place, or [-1]
+    if a digit is not lowercase hex — so it equals [v] exactly when the
+    field is {!to_hex8}[ v].
+    @raise Invalid_argument if the 8 bytes are not inside [b] *)
+
 val fnv32_sub : bytes -> int -> int -> int
 (** [fnv32_sub b pos len]: FNV-1a/32 of [len] bytes of [b] from [pos],
     read in place — what lets a reader check a frame without copying it.

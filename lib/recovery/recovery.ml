@@ -93,7 +93,7 @@ module Manager = struct
           roll tl
       | _ :: tl -> roll tl
     in
-    roll (List.rev (Wal.all t.wal));
+    roll (Wal.newest_first t.wal);
     ignore (Wal.append t.wal (Wal.Abort txn));
     t.active <- List.filter (( <> ) txn) t.active
 

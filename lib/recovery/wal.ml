@@ -97,5 +97,6 @@ let flush t =
   notify t (Flushed t.stable)
 let stable_lsn t = t.stable
 let all t = List.rev t.records
+let newest_first t = t.records
 let stable t = List.filteri (fun i _ -> i < t.stable) (all t)
 let length t = t.n

@@ -85,6 +85,11 @@ val stable : t -> record list
 (** The crash-surviving prefix, oldest first. *)
 
 val all : t -> record list
-(** Stable and volatile records. *)
+(** Stable and volatile records, oldest first. *)
+
+val newest_first : t -> record list
+(** Stable and volatile records, newest first, without copying: a walk
+    back from the tail (a rollback) costs what it visits, not the
+    length of the log. *)
 
 val length : t -> int

@@ -9,11 +9,15 @@
      first;
    - the clock hand always makes progress: eviction scans at most two
      full sweeps before declaring the pool exhausted (every frame
-     pinned), so a lost reference bit cannot loop forever. *)
+     pinned), so a lost reference bit cannot loop forever.
+
+   Each frame owns one page for the pool's lifetime: a miss has [load]
+   fill the victim's page in place, so the pool never allocates an
+   image after [create]. *)
 
 type frame = {
   mutable f_pid : int; (* -1 = empty *)
-  mutable f_page : Page.t option;
+  f_page : Page.t;
   mutable f_pin : int;
   mutable f_dirty : bool;
   mutable f_ref : bool;
@@ -30,17 +34,23 @@ type t = {
   frames : frame array;
   map : (int, int) Hashtbl.t; (* pid -> frame index *)
   mutable hand : int;
-  load : int -> Page.t;
+  load : int -> Page.t -> unit;
   write_back : int -> Page.t -> unit;
   stats : stats;
 }
 
-let create ~pages ~load ~write_back =
+let create ~pages ~page_size ~load ~write_back =
   if pages < 2 then invalid_arg "Buffer_pool.create: need at least 2 pages";
   {
     frames =
       Array.init pages (fun _ ->
-          { f_pid = -1; f_page = None; f_pin = 0; f_dirty = false; f_ref = false });
+          {
+            f_pid = -1;
+            f_page = Page.create page_size;
+            f_pin = 0;
+            f_dirty = false;
+            f_ref = false;
+          });
     map = Hashtbl.create (2 * pages);
     hand = 0;
     load;
@@ -52,12 +62,11 @@ let stats t = t.stats
 let capacity t = Array.length t.frames
 
 let flush_frame t f =
-  match f.f_page with
-  | Some page when f.f_dirty ->
-      t.write_back f.f_pid page;
-      t.stats.write_backs <- t.stats.write_backs + 1;
-      f.f_dirty <- false
-  | _ -> ()
+  if f.f_dirty then begin
+    t.write_back f.f_pid f.f_page;
+    t.stats.write_backs <- t.stats.write_backs + 1;
+    f.f_dirty <- false
+  end
 
 let victim t =
   let n = Array.length t.frames in
@@ -86,7 +95,7 @@ let get t pid =
       t.stats.hits <- t.stats.hits + 1;
       f.f_pin <- f.f_pin + 1;
       f.f_ref <- true;
-      (match f.f_page with Some p -> p | None -> assert false)
+      f.f_page
   | None ->
       t.stats.misses <- t.stats.misses + 1;
       let i = victim t in
@@ -94,17 +103,19 @@ let get t pid =
       if f.f_pid >= 0 then begin
         flush_frame t f;
         Hashtbl.remove t.map f.f_pid;
+        f.f_pid <- -1;
         t.stats.evictions <- t.stats.evictions + 1
       end;
-      let page = t.load pid in
+      (* the frame is empty until the load completes: a load that raises
+         leaves a half-filled page that no pid maps to *)
+      t.load pid f.f_page;
       f.f_pid <- pid;
-      f.f_page <- Some page;
       f.f_pin <- 1;
       f.f_dirty <- false;
       f.f_ref <- true;
       Hashtbl.replace t.map pid i;
       t.hand <- (t.hand + 1) mod Array.length t.frames;
-      page
+      f.f_page
 
 let unpin t pid ~dirty =
   match Hashtbl.find_opt t.map pid with
@@ -132,7 +143,6 @@ let drop_all t =
   Array.iter
     (fun f ->
       f.f_pid <- -1;
-      f.f_page <- None;
       f.f_pin <- 0;
       f.f_dirty <- false;
       f.f_ref <- false)

@@ -21,8 +21,18 @@ type stats = {
 
 type t
 
-val create : pages:int -> load:(int -> Page.t) -> write_back:(int -> Page.t -> unit) -> t
-(** @raise Invalid_argument when [pages < 2] (relocation pins two). *)
+val create :
+  pages:int ->
+  page_size:int ->
+  load:(int -> Page.t -> unit) ->
+  write_back:(int -> Page.t -> unit) ->
+  t
+(** Allocates every frame's page up front; the pool allocates no image
+    after this.  On a miss, [load pid page] fills the victim frame's own
+    [page] in place with page [pid] (after any [write_back] of the
+    frame's previous page).  A [load] that raises leaves the frame
+    empty, and the exception reaches the caller of {!get}.
+    @raise Invalid_argument when [pages < 2] (relocation pins two). *)
 
 val get : t -> int -> Page.t
 (** Pins the page (loading and possibly evicting first).  Balance every

@@ -62,6 +62,7 @@ type t = {
   mutable pending : string list; (* encoded, newest first, not yet on disk *)
   mutable wal_bytes : int;
   mutable dblwr_bytes : int;
+  dblwr_buf : Bytes.t; (* the one double-write entry under construction *)
   mutable pool : Buffer_pool.t; (* knot-tied after create *)
   dir_tbl : (int, rid) Hashtbl.t;
   extents : (string, int list ref) Hashtbl.t; (* highest oid first *)
@@ -90,24 +91,26 @@ let rec write_all fd b pos len =
     write_all fd b (pos + n) (len - n)
   end
 
-let pwrite_at fd off b =
+let pwrite_at fd off b len =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
-  write_all fd b 0 (Bytes.length b)
+  write_all fd b 0 len
 
-let pread_at fd off len =
-  let b = Bytes.make len '\000' in
+(* Fills all of [b] from [off]; a read that stops at end of file leaves
+   the rest zero, as a sparse hole reads. *)
+let pread_into fd off b =
+  let len = Bytes.length b in
   ignore (Unix.lseek fd off Unix.SEEK_SET);
   let rec go pos =
     if pos < len then
       let n = Unix.read fd b pos (len - pos) in
-      if n > 0 then go (pos + n)
+      if n > 0 then go (pos + n) else Bytes.fill b pos (len - pos) '\000'
   in
-  go 0;
-  b
+  go 0
 
 let read_whole fd =
-  let len = (Unix.fstat fd).Unix.st_size in
-  Bytes.to_string (pread_at fd 0 len)
+  let b = Bytes.create (Unix.fstat fd).Unix.st_size in
+  pread_into fd 0 b;
+  Bytes.unsafe_to_string b
 
 let maybe_fsync t fd = if t.cfg.sync = Fsync then Unix.fsync fd
 
@@ -118,9 +121,9 @@ let hook t pt =
 
 let hooked_write t pt fd off b =
   match hook t pt with
-  | Proceed -> pwrite_at fd off b
+  | Proceed -> pwrite_at fd off b (Bytes.length b)
   | Torn k ->
-      pwrite_at fd off (Bytes.sub b 0 (max 0 (min k (Bytes.length b))));
+      pwrite_at fd off b (max 0 (min k (Bytes.length b)));
       raise (Crashed "torn write")
 
 (* --- WAL --- *)
@@ -134,7 +137,7 @@ let wal_flush t =
   if t.pending <> [] then begin
     let payload = String.concat "" (List.rev t.pending) in
     hooked_write t (Wal_write (String.length payload)) t.wal_fd t.wal_bytes
-      (Bytes.of_string payload);
+      (Bytes.unsafe_of_string payload);
     t.wal_bytes <- t.wal_bytes + String.length payload;
     t.pending <- [];
     maybe_fsync t t.wal_fd;
@@ -144,13 +147,15 @@ let wal_flush t =
 
 (* --- double-write buffer --- *)
 
-let dblwr_entry pid img =
+(* [len₈ sum₈ pid₈ image], built in the engine's one entry buffer (a
+   page image fills it exactly) *)
+let dblwr_entry t pid img =
+  let b = t.dblwr_buf in
   let plen = 8 + Bytes.length img in
-  let b = Bytes.create (16 + plen) in
-  Bytes.blit_string (Codec.to_hex8 plen) 0 b 0 8;
-  Bytes.blit_string (Codec.to_hex8 pid) 0 b 16 8;
+  Codec.put_hex8 b 0 plen;
+  Codec.put_hex8 b 16 pid;
   Bytes.blit img 0 b 24 (Bytes.length img);
-  Bytes.blit_string (Codec.to_hex8 (Codec.fnv32_sub b 16 plen)) 0 b 8 8;
+  Codec.put_hex8 b 8 (Codec.fnv32_sub b 16 plen);
   b
 
 let dblwr_decode s =
@@ -175,21 +180,24 @@ let dblwr_decode s =
 
 let page_off t pid = pid * t.cfg.page_size
 
-let load_page t pid =
+(* The pool's [load]: page [pid] read into the frame's own [page]. *)
+let load_page t pid page =
   bump t (fun o -> o.c_page_reads);
-  let b = pread_at t.data_fd (page_off t pid) t.cfg.page_size in
-  if Page.is_zero b then Page.create t.cfg.page_size
+  let b = Page.image page in
+  pread_into t.data_fd (page_off t pid) b;
+  if Page.is_zero b then Page.clear page
   else
-    match Page.of_bytes b with
-    | Ok p -> p
+    match Page.check page with
+    | Ok () -> ()
     | Error e -> failwith (Printf.sprintf "Storage: corrupt page %d (%s)" pid e)
 
 let write_back t pid page =
   (* WAL-before-data: the log must be stable past the page's LSN before
      the page image may replace the one on disk. *)
   wal_flush t;
-  let img = Page.to_bytes page in
-  let entry = dblwr_entry pid img in
+  Page.stamp page;
+  let img = Page.image page in
+  let entry = dblwr_entry t pid img in
   hooked_write t (Dblwr_write pid) t.dblwr_fd t.dblwr_bytes entry;
   t.dblwr_bytes <- t.dblwr_bytes + Bytes.length entry;
   maybe_fsync t t.dblwr_fd;
@@ -387,13 +395,13 @@ let meta_write t =
       t.next_pid
   in
   Bytes.blit_string payload 0 b 8 (String.length payload);
-  let sum = Codec.to_hex8 (Codec.fnv32_sub b 8 (t.cfg.page_size - 8)) in
-  Bytes.blit_string sum 0 b 0 8;
+  Codec.put_hex8 b 0 (Codec.fnv32_sub b 8 (t.cfg.page_size - 8));
   hooked_write t Meta_write t.data_fd 0 b;
   maybe_fsync t t.data_fd
 
 let meta_read ~page_size fd =
-  let b = pread_at fd 0 page_size in
+  let b = Bytes.create page_size in
+  pread_into fd 0 b;
   if Page.is_zero b then None
   else
     let sum = Bytes.sub_string b 0 8 in
@@ -441,7 +449,7 @@ let rollback_locked t txn =
             roll tl
         | _ -> roll tl)
   in
-  roll (List.rev (Wal.all t.wal))
+  roll (Wal.newest_first t.wal)
 
 let locked t f =
   Mutex.lock t.mu;
@@ -644,8 +652,11 @@ let recover_locked t =
   t.next_pid <- max 1 (max npid0 file_pages);
   let page_lsns = Hashtbl.create 64 in
   let stale = ref [] in
+  (* one image buffer for the scan: each page read into it is wrapped in
+     place and done with before the next read *)
+  let b = Bytes.create ps in
   for pid = 1 to t.next_pid - 1 do
-    let b = pread_at t.data_fd (page_off t pid) ps in
+    pread_into t.data_fd (page_off t pid) b;
     let page =
       if Page.is_zero b then None
       else
@@ -656,7 +667,7 @@ let recover_locked t =
             | Some img when Bytes.length img = ps -> (
                 match Page.of_bytes img with
                 | Ok p ->
-                    pwrite_at t.data_fd (page_off t pid) img;
+                    pwrite_at t.data_fd (page_off t pid) img ps;
                     Some p
                 | Error e ->
                     failwith
@@ -697,11 +708,12 @@ let recover_locked t =
      pool, then refresh the free hints of the touched pages *)
   List.iter
     (fun (pid, slot) ->
-      let b = pread_at t.data_fd (page_off t pid) ps in
+      pread_into t.data_fd (page_off t pid) b;
       match Page.of_bytes b with
       | Ok p ->
           Page.delete p slot;
-          pwrite_at t.data_fd (page_off t pid) (Page.to_bytes p);
+          Page.stamp p;
+          pwrite_at t.data_fd (page_off t pid) b ps;
           Hashtbl.replace t.free pid (Page.insert_capacity p)
       | Error _ -> assert false (* just validated above *))
     !stale;
@@ -802,11 +814,12 @@ let create cfg =
       pending = [];
       wal_bytes = 0;
       dblwr_bytes = 0;
+      dblwr_buf = Bytes.create (24 + cfg.page_size);
       (* placeholder; the real pool (whose callbacks close over [t]) is
          knot-tied just below, before any page is touched *)
       pool =
-        Buffer_pool.create ~pages:2
-          ~load:(fun _ -> Page.create Page.min_size)
+        Buffer_pool.create ~pages:2 ~page_size:Page.min_size
+          ~load:(fun _ _ -> ())
           ~write_back:(fun _ _ -> ());
       dir_tbl = Hashtbl.create 1024;
       extents = Hashtbl.create 16;
@@ -831,7 +844,8 @@ let create cfg =
     }
   in
   t.pool <-
-    Buffer_pool.create ~pages:cfg.pool_pages ~load:(load_page t) ~write_back:(write_back t);
+    Buffer_pool.create ~pages:cfg.pool_pages ~page_size:cfg.page_size ~load:(load_page t)
+      ~write_back:(write_back t);
   Mutex.lock t.mu;
   recover_locked t;
   (* recovery ends with a checkpoint so the next crash replays little *)

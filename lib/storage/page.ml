@@ -53,14 +53,19 @@ type t = { buf : Bytes.t }
 
 let size t = Bytes.length t.buf
 
-let create n =
-  if n < min_size then invalid_arg "Page.create: page size too small";
-  let buf = Bytes.make n '\000' in
+let clear t =
+  let buf = t.buf in
+  Bytes.fill buf 0 (Bytes.length buf) '\000';
   Bytes.blit_string magic 0 buf o_magic 4;
   put_hex buf o_lsn 16 0;
   put_hex buf o_nslots 8 0;
-  put_hex buf o_heap 8 n;
-  { buf }
+  put_hex buf o_heap 8 (Bytes.length buf)
+
+let create n =
+  if n < min_size then invalid_arg "Page.create: page size too small";
+  let t = { buf = Bytes.create n } in
+  clear t;
+  t
 
 let lsn t = match get_hex t.buf o_lsn 16 with Some v -> v | None -> 0
 let set_lsn t v = put_hex t.buf o_lsn 16 v
@@ -188,33 +193,36 @@ let replace t i payload =
           true
         end
 
-(* --- checksummed (de)serialisation --- *)
+(* --- checksummed images, in place --- *)
 
-let checksum_of t = Codec.to_hex8 (Codec.fnv32_sub t.buf 8 (size t - 8))
+let image t = t.buf
 
-let to_bytes t =
-  let copy = { buf = Bytes.copy t.buf } in
-  Bytes.blit_string (checksum_of copy) 0 copy.buf o_sum 8;
-  copy.buf
+let checksum t = Codec.fnv32_sub t.buf 8 (size t - 8)
 
-let of_bytes b =
-  let t = { buf = Bytes.copy b } in
+let stamp t = Codec.put_hex8 t.buf o_sum (checksum t)
+
+let check t =
+  let b = t.buf in
   if Bytes.length b < min_size then Error "short page"
   else if Bytes.sub_string b o_magic 4 <> magic then Error "bad magic"
-  else if Bytes.sub_string b o_sum 8 <> checksum_of t then Error "bad checksum"
+  else if Codec.get_hex8 b o_sum <> checksum t then Error "bad checksum"
   else
-    match (get_hex t.buf o_nslots 8, get_hex t.buf o_heap 8) with
+    match (get_hex b o_nslots 8, get_hex b o_heap 8) with
     | Some ns, Some hp
       when ns >= 0
            && header_size + (slot_entry * ns) <= hp
            && hp <= Bytes.length b ->
-        Ok t
+        Ok ()
     | _ -> Error "bad header"
 
-let is_zero b =
-  let ok = ref true in
-  Bytes.iter (fun c -> if c <> '\000' then ok := false) b;
-  !ok
+let of_bytes b =
+  let t = { buf = b } in
+  Result.map (fun () -> t) (check t)
+
+let rec zero_from b i =
+  i >= Bytes.length b || (Bytes.unsafe_get b i = '\000' && zero_from b (i + 1))
+
+let is_zero b = zero_from b 0
 
 (* --- instance record payloads ---
 

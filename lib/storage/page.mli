@@ -10,7 +10,11 @@
     The header reuses the chaos {!Tavcc_chaos.Codec} discipline: every
     integer is fixed-width hex, the checksum is the 8-hex
     FNV-1a/32 of bytes [8, size), so a torn page write is detected at
-    {!of_bytes} and repaired from the double-write buffer at recovery. *)
+    {!check} and repaired from the double-write buffer at recovery.
+
+    A page is one [Bytes.t] that IO reads into and writes from directly
+    ({!image}): the buffer pool's frames each own one page for their
+    lifetime, and nothing on the page-IO path copies an image. *)
 
 open Tavcc_model
 
@@ -22,6 +26,10 @@ val slot_entry : int
 
 val create : int -> t
 (** An empty page. @raise Invalid_argument below {!min_size}. *)
+
+val clear : t -> unit
+(** Empties the page in place: afterwards its image is exactly what
+    {!create} returns. *)
 
 val size : t -> int
 
@@ -51,14 +59,25 @@ val insert_capacity : t -> int
 
 val compact : t -> unit
 
-val to_bytes : t -> bytes
-(** The durable image, checksum freshly stamped. *)
+val image : t -> bytes
+(** The page's own buffer, not a copy: a read fills it in place (then
+    {!check}), a write sends it out (after {!stamp}). *)
+
+val stamp : t -> unit
+(** Writes the checksum of the current contents into the header, making
+    {!image} the durable image. *)
+
+val check : t -> (unit, string) result
+(** Verifies length, magic, checksum and header sanity of the image in
+    place. *)
 
 val of_bytes : bytes -> (t, string) result
-(** Verifies length, magic, checksum and header sanity. *)
+(** [b] as a page, without copying (the page aliases [b]), after the
+    {!check}s. *)
 
 val is_zero : bytes -> bool
-(** A never-written (sparse-hole) page image. *)
+(** A never-written (sparse-hole) page image; stops at the first
+    non-zero byte. *)
 
 (** Instance record payloads: oid, class and named field values, in the
     store's slot order.  Self-describing — a page or a WAL record

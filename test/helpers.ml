@@ -53,6 +53,17 @@ let build_of_source src =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Allocation counters of the calling domain, in words: everything
+   allocated, and what went straight to the major heap (blocks too big
+   for the minor heap, such as a 4 KiB page image). *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let direct_major_words () =
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
 (* Naive substring search, sufficient for matching diagnostics. *)
 let contains s sub =
   let n = String.length s and m = String.length sub in

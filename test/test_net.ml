@@ -279,10 +279,6 @@ let show_read_error = function
   | `Timeout -> "Timeout"
   | `Corrupt m -> "Corrupt " ^ m
 
-let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
-
 let test_io_long_stream () =
   let frames = Array.map Wire.frame long_payloads in
   let total = Array.length frames in
@@ -295,9 +291,9 @@ let test_io_long_stream () =
   let stream = String.concat "" (Array.to_list frames) in
   let result, words =
     with_streamed_io ~seed:1 stream (fun io ->
-        let w0 = allocated_words () in
+        let w0 = Helpers.allocated_words () in
         let r = read_until_error io in
-        (r, allocated_words () -. w0))
+        (r, Helpers.allocated_words () -. w0))
   in
   check_read "clean end" ~count:total ~err:"Eof" result;
   let per_frame = words /. float_of_int total in

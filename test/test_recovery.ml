@@ -107,6 +107,27 @@ let test_abort_with_clrs () =
   Recovery.Restart.recover store snap (Wal.stable wal);
   Alcotest.check value "second incarnation wins" (Value.Vint 60) (Store.read store o1 (fn "a"))
 
+(* The rollback walks back from the log's tail to the Begin: one abort
+   costs the same after 30 000 records as after none. *)
+let test_abort_cost_flat () =
+  let store, o1, _ = setup () in
+  let wal = Wal.create () in
+  let mgr = Recovery.Manager.create store wal in
+  for txn = 1 to 10_000 do
+    Recovery.Manager.begin_txn mgr txn;
+    Recovery.Manager.write mgr ~txn o1 (fn "a") (Value.Vint txn);
+    Recovery.Manager.commit mgr txn
+  done;
+  Recovery.Manager.begin_txn mgr 0;
+  Recovery.Manager.write mgr ~txn:0 o1 (fn "a") (Value.Vint 0);
+  let w0 = allocated_words () in
+  Recovery.Manager.abort mgr 0;
+  let words = allocated_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "one abort after %d records allocates %.0f words <= 1000" (Wal.length wal) words)
+    true (words <= 1_000.);
+  Alcotest.check value "abort rolled back" (Value.Vint 10_000) (Store.read store o1 (fn "a"))
+
 let test_interleaved_incarnations () =
   (* The scenario that breaks naive whole-log rollback: t1 aborts, t2
      commits a new value, t1 restarts and crashes. *)
@@ -487,6 +508,7 @@ let suite =
     case "uncommitted volatile writes are lost" test_uncommitted_lost;
     case "stable loser updates are undone" test_loser_undone_from_stable_log;
     case "abort logs CLRs" test_abort_with_clrs;
+    case "abort cost does not grow with the log" test_abort_cost_flat;
     case "interleaved incarnations" test_interleaved_incarnations;
     case "recovery is idempotent" test_recover_idempotent;
     case "manager misuse" test_manager_errors;

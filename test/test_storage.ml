@@ -65,15 +65,16 @@ let prop_page_bitflip =
       for i = 0 to 5 do
         ignore (Page.insert page (Printf.sprintf "payload-%d-%d" seed i))
       done;
-      let img = Page.to_bytes page in
-      (match Page.of_bytes img with Ok _ -> () | Error e -> failwith e);
+      Page.stamp page;
+      (match Page.check page with Ok () -> () | Error e -> failwith e);
+      let img = Page.image page in
       let pos = Rng.int rng (Bytes.length img) in
       let old = Bytes.get img pos in
       let nw = Char.chr ((Char.code old + 1 + Rng.int rng 254) mod 256) in
       if nw = old then true
       else begin
         Bytes.set img pos nw;
-        match Page.of_bytes img with Ok _ -> false | Error _ -> true
+        match Page.check page with Ok () -> false | Error _ -> true
       end)
 
 let prop_page_torn =
@@ -84,7 +85,8 @@ let prop_page_torn =
       for i = 0 to 7 do
         ignore (Page.insert page (String.make (10 + Rng.int rng 30) (Char.chr (65 + i))))
       done;
-      let img = Page.to_bytes page in
+      Page.stamp page;
+      let img = Page.image page in
       let ok = ref true in
       for _ = 1 to 40 do
         let k = Rng.int rng (Bytes.length img) in
@@ -141,8 +143,9 @@ let prop_page_ops =
                 else if Page.read_slot page s <> Hashtbl.find_opt model s then ok := false)
         | 8 -> Page.compact page
         | _ -> (
-            (* serialisation round-trip preserves every slot *)
-            match Page.of_bytes (Page.to_bytes page) with
+            (* the stamped image alone preserves every slot *)
+            Page.stamp page;
+            match Page.of_bytes (Bytes.copy (Page.image page)) with
             | Ok p' ->
                 Hashtbl.iter
                   (fun slot payload ->
@@ -155,10 +158,12 @@ let prop_page_ops =
 
 (* --- buffer pool invariants --- *)
 
-let dummy_load _ = Page.create 256
+let dummy_load _ page = Page.clear page
 
 let test_pool_ledger () =
-  let pool = Pool.create ~pages:2 ~load:dummy_load ~write_back:(fun _ _ -> ()) in
+  let pool =
+    Pool.create ~pages:2 ~page_size:256 ~load:dummy_load ~write_back:(fun _ _ -> ())
+  in
   ignore (Pool.get pool 1);
   Pool.unpin pool 1 ~dirty:false;
   Alcotest.check_raises "ledger underflow raises"
@@ -169,7 +174,9 @@ let test_pool_ledger () =
       Pool.unpin pool 99 ~dirty:false)
 
 let test_pool_all_pinned () =
-  let pool = Pool.create ~pages:2 ~load:dummy_load ~write_back:(fun _ _ -> ()) in
+  let pool =
+    Pool.create ~pages:2 ~page_size:256 ~load:dummy_load ~write_back:(fun _ _ -> ())
+  in
   ignore (Pool.get pool 1);
   ignore (Pool.get pool 2);
   Alcotest.check_raises "exhausted pool fails loudly"
@@ -178,7 +185,7 @@ let test_pool_all_pinned () =
 let test_pool_dirty_never_dropped () =
   let written = Hashtbl.create 16 in
   let pool =
-    Pool.create ~pages:3 ~load:dummy_load ~write_back:(fun pid _ ->
+    Pool.create ~pages:3 ~page_size:256 ~load:dummy_load ~write_back:(fun pid _ ->
         Hashtbl.replace written pid (1 + Option.value ~default:0 (Hashtbl.find_opt written pid)))
   in
   let dirtied = ref [] in
@@ -198,49 +205,76 @@ let test_pool_dirty_never_dropped () =
   Alcotest.(check int) "no pins left" 0 (Pool.pinned pool);
   Alcotest.(check int) "no dirt left" 0 (Pool.dirty_count pool)
 
+(* A tiny fake disk of stamped 256-byte images: [write_back] persists,
+   [load] reads back into the frame's page. *)
+let disk_load disk pid page =
+  match Hashtbl.find_opt disk pid with
+  | Some img -> (
+      Bytes.blit img 0 (Page.image page) 0 (Bytes.length img);
+      match Page.check page with Ok () -> () | Error e -> failwith e)
+  | None -> Page.clear page
+
+let disk_write_back disk pid page =
+  Page.stamp page;
+  Hashtbl.replace disk pid (Bytes.copy (Page.image page))
+
+exception Injected_load_failure
+
 let prop_pool_model =
   QCheck.Test.make ~count:80 ~name:"pool: eviction preserves page contents" seed_arb
     (fun seed ->
       let rng = Rng.create seed in
-      (* a tiny fake disk: write_back persists, load re-reads *)
       let disk = Hashtbl.create 16 in
-      let load pid =
-        match Hashtbl.find_opt disk pid with
-        | Some img -> (match Page.of_bytes img with Ok p -> p | Error e -> failwith e)
-        | None -> Page.create 256
+      (* one load, on a random step, scribbles over the frame's page and
+         raises: the frame must come back empty, not holding garbage *)
+      let fail_at = 1 + Rng.int rng 120 and step = ref 0 and failed = ref false in
+      let load pid page =
+        if (not !failed) && !step >= fail_at then begin
+          failed := true;
+          Bytes.fill (Page.image page) 0 64 'x';
+          raise Injected_load_failure
+        end;
+        disk_load disk pid page
       in
-      let write_back pid page = Hashtbl.replace disk pid (Page.to_bytes page) in
-      let pool = Pool.create ~pages:3 ~load ~write_back in
+      let pool = Pool.create ~pages:3 ~page_size:256 ~load ~write_back:(disk_write_back disk) in
       let model = Hashtbl.create 16 in
       let ok = ref true in
-      for _ = 1 to 120 do
+      for i = 1 to 120 do
+        step := i;
         let pid = 1 + Rng.int rng 9 in
-        let page = Pool.get pool pid in
-        let expect = Hashtbl.find_opt model pid in
-        let got = Page.read_slot page 0 in
-        if Page.nslots page > 0 && got <> expect then ok := false;
-        if Rng.bool rng then begin
-          let payload = Printf.sprintf "p%d-%d" pid (Rng.int rng 1000) in
-          (if Page.nslots page = 0 then ignore (Page.insert page payload)
-           else ignore (Page.replace page 0 payload));
-          Hashtbl.replace model pid payload;
-          Pool.unpin pool pid ~dirty:true
-        end
-        else Pool.unpin pool pid ~dirty:false
+        match Pool.get pool pid with
+        | exception Injected_load_failure -> ()
+        | page ->
+            if Page.read_slot page 0 <> Hashtbl.find_opt model pid then ok := false;
+            if Rng.bool rng then begin
+              let payload = Printf.sprintf "p%d-%d" pid (Rng.int rng 1000) in
+              (if Page.nslots page = 0 then ignore (Page.insert page payload)
+               else ignore (Page.replace page 0 payload));
+              Hashtbl.replace model pid payload;
+              Pool.unpin pool pid ~dirty:true
+            end
+            else Pool.unpin pool pid ~dirty:false
       done;
-      !ok && Pool.pinned pool = 0)
+      (* every page, resident or not, still reads as the model says; the
+         sweep misses at least six times, so the failure has fired by its
+         end, and a retry after it must succeed *)
+      for pid = 1 to 9 do
+        let page =
+          match Pool.get pool pid with
+          | page -> page
+          | exception Injected_load_failure -> Pool.get pool pid
+        in
+        if Page.read_slot page 0 <> Hashtbl.find_opt model pid then ok := false;
+        Pool.unpin pool pid ~dirty:false
+      done;
+      !ok && !failed && Pool.pinned pool = 0)
 
 let test_pool_two_domain_hammer () =
   let mu = Mutex.create () in
   let disk = Hashtbl.create 16 in
-  let load pid =
-    match Hashtbl.find_opt disk pid with
-    | Some img -> (match Page.of_bytes img with Ok p -> p | Error e -> failwith e)
-    | None -> Page.create 256
-  in
   let pool =
-    Pool.create ~pages:4 ~load ~write_back:(fun pid page ->
-        Hashtbl.replace disk pid (Page.to_bytes page))
+    Pool.create ~pages:4 ~page_size:256 ~load:(disk_load disk)
+      ~write_back:(disk_write_back disk)
   in
   let body seed () =
     let rng = Rng.create seed in
@@ -385,6 +419,77 @@ let test_engine_abort_rolls_back () =
       Alcotest.(check bool) "undone insert stays gone" false (Store.exists store2 c);
       Engine.close eng2)
 
+(* A miss reads, checks and writes pages in the frames' own buffers: no
+   page-sized block, which at 4 KiB is too big for the minor heap and
+   would be allocated straight in the major heap. *)
+let test_engine_miss_allocates_no_page () =
+  with_dir "miss_alloc" (fun dir ->
+      let schema = storage_schema () in
+      let eng = Engine.create { (Engine.default_config ~dir) with pool_pages = 4 } in
+      let store = Engine.store eng schema in
+      let n = 600 in
+      let oids =
+        Array.init n (fun i ->
+            Store.new_instance
+              ~init:[ (fn "qty", Value.Vint i); (fn "label", Value.Vstring (String.make 300 'x')) ]
+              store (cn "item"))
+      in
+      let st = Engine.stats eng in
+      Alcotest.(check bool)
+        (Printf.sprintf "data (%d pages) exceeds the pool (%d)" st.Engine.s_data_pages
+           st.Engine.s_pool_pages)
+        true
+        (st.Engine.s_data_pages > 4 * st.Engine.s_pool_pages);
+      let misses () = (Engine.stats eng).Engine.s_pool.Pool.misses in
+      let m0 = misses () and w0 = direct_major_words () in
+      (* a stride of 97 records lands several pages away every time: each
+         write misses and evicts a dirty page (WAL force, double write,
+         page write) *)
+      for j = 1 to 1500 do
+        Store.write store oids.(j * 97 mod n) (fn "qty") (Value.Vint j)
+      done;
+      let words = direct_major_words () -. w0 and m = misses () - m0 in
+      Alcotest.(check bool) (Printf.sprintf "%d misses >= 1000" m) true (m >= 1000);
+      let per_miss = words /. float_of_int m in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f major-heap words per miss <= 64" per_miss)
+        true (per_miss <= 64.);
+      Engine.close eng)
+
+(* Rolling back walks the log from its tail to the transaction's Begin:
+   the cost of one abort must not grow with the records before it. *)
+let test_engine_abort_cost_flat () =
+  with_dir "abort_cost" (fun dir ->
+      let schema = storage_schema () in
+      let eng = Engine.create (small_config dir) in
+      let store = Engine.store eng schema in
+      let oids =
+        Array.init 16 (fun i -> Store.new_instance ~init:[ (fn "qty", Value.Vint i) ] store (cn "item"))
+      in
+      let txn = ref 0 in
+      let begin_with_updates () =
+        incr txn;
+        Engine.begin_txn eng !txn;
+        for k = 0 to 3 do
+          Store.write store oids.((!txn + k) mod 16) (fn "qty") (Value.Vint !txn)
+        done
+      in
+      while (Engine.stats eng).Engine.s_wal_records < 30_000 do
+        begin_with_updates ();
+        Engine.commit eng !txn
+      done;
+      begin_with_updates ();
+      let w0 = allocated_words () in
+      Engine.abort eng !txn;
+      let words = allocated_words () -. w0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "one abort after %d records allocates %.0f words <= 10000"
+           (Engine.stats eng).Engine.s_wal_records words)
+        true (words <= 10_000.);
+      Alcotest.(check value) "the abort rolled back" (Value.Vint (!txn - 1))
+        (Store.read store oids.(!txn mod 16) (fn "qty"));
+      Engine.close eng)
+
 (* --- the crash matrix --- *)
 
 let matrix_config ~dir ~seed =
@@ -440,6 +545,10 @@ let suite =
     Alcotest.test_case "engine: data larger than the pool" `Quick test_engine_larger_than_pool;
     Alcotest.test_case "engine: abort rolls back and stays rolled back" `Quick
       test_engine_abort_rolls_back;
+    Alcotest.test_case "engine: a pool miss allocates no page image" `Quick
+      test_engine_miss_allocates_no_page;
+    Alcotest.test_case "engine: abort cost does not grow with the log" `Quick
+      test_engine_abort_cost_flat;
     Alcotest.test_case "crash matrix: smoke" `Quick test_matrix_smoke;
     Alcotest.test_case "crash matrix: crash in the closing checkpoint" `Quick
       test_matrix_crash_in_close;
