@@ -13,7 +13,6 @@ type config = {
   queue_capacity : int;
   max_sessions : int;
   drain_grace_s : float;
-  session_series_cap : int;
 }
 
 let default_config ~addr ~scheme ~store =
@@ -27,8 +26,11 @@ let default_config ~addr ~scheme ~store =
     queue_capacity = 256;
     max_sessions = 64;
     drain_grace_s = 5.0;
-    session_series_cap = 16;
   }
+
+(* Per-session labelled metric series exist for at most this many
+   distinct clients (label cardinality guard). *)
+let session_series_cap = 16
 
 (* Server-side registry handles; None when the engine config carries no
    metrics registry. *)
@@ -84,15 +86,15 @@ let send ss resp =
   Mutex.unlock ss.ss_wmu
 
 let session_series t ss name =
-  (* label-cardinality guard: only the first [session_series_cap]
-     distinct client names get their own series *)
+  (* only the first [session_series_cap] distinct client names get their
+     own series *)
   match t.nm with
   | None -> None
   | Some nm ->
       Mutex.lock t.series_mu;
       let admit =
         Hashtbl.mem t.series_seen ss.ss_client
-        || Hashtbl.length t.series_seen < t.cfg.session_series_cap
+        || Hashtbl.length t.series_seen < session_series_cap
       in
       if admit then Hashtbl.replace t.series_seen ss.ss_client ();
       Mutex.unlock t.series_mu;

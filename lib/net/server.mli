@@ -38,16 +38,14 @@ type config = {
   queue_capacity : int;
   max_sessions : int;  (** beyond it new connections get [Err] + close; [net.refused] counts *)
   drain_grace_s : float;  (** per-session wait for in-flight replies at teardown *)
-  session_series_cap : int;
-      (** per-session labelled metric series are created for at most this
-          many distinct clients (label cardinality guard) *)
 }
 
 val default_config :
   addr:Wire.addr -> scheme:Scheme.t -> store:Ast.body Tavcc_model.Store.t -> config
 (** Engine defaults from {!Tavcc_par.Par_engine.default_config}, queue
-    capacity 256, 64 sessions, 5 s drain grace, 16 session series, no
-    digest pinning. *)
+    capacity 256, 64 sessions, 5 s drain grace, no digest pinning.
+    Per-client labelled metric series exist for at most 16 distinct
+    clients (a label cardinality guard). *)
 
 type t
 

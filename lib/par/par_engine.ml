@@ -13,13 +13,10 @@ type config = {
   policy : Engine.deadlock_policy;
   max_restarts : int;
   max_steps : int;
-  detector_period_us : int;
   restart_backoff_us : int;
-  backoff_cap_us : int;
   record_history : bool;
   metrics : Metrics.t option;
   obs : Par_obs.t option;
-  stall_sink : Shard_table.stall_report Tavcc_obs.Sink.t;
   probe :
     (dom:int ->
     txn:int ->
@@ -35,6 +32,11 @@ and journal = {
   j_abort : int -> unit;
 }
 
+(* The detector's sweep period and the ceiling of the restart backoff's
+   doubling. *)
+let detector_period_s = 500e-6
+let backoff_cap_us = 5000
+
 let default_config =
   {
     domains = 4;
@@ -42,13 +44,10 @@ let default_config =
     policy = Engine.Detect;
     max_restarts = 1000;
     max_steps = 1_000_000;
-    detector_period_us = 500;
     restart_backoff_us = 50;
-    backoff_cap_us = 5000;
     record_history = false;
     metrics = None;
     obs = None;
-    stall_sink = Tavcc_obs.Sink.null;
     probe = None;
     journal = None;
   }
@@ -99,11 +98,11 @@ type job_status = Job_committed of { restarts : int } | Job_failed of string
 
 (* --- the engine core -------------------------------------------------
 
-   Everything [run] used to build inline — the sharded lock table, the
-   shared counters, the detector domain, the per-job strict-2PL restart
-   loop — lives in a [core] now, so the batch driver ([run]) and the
-   long-lived submission service ([service_start]/[submit]) execute jobs
-   through literally the same code path. *)
+   The sharded lock table, the shared counters and the detector domain
+   live in a [core].  Batch jobs ([run]) and submitted ones ([submit])
+   reach it through the one service queue and worker loop, interactive
+   transactions from their session's thread; all of them go through
+   [begin_attempt], [commit] and [abort]. *)
 
 type counters = {
   n_commits : int Atomic.t;
@@ -157,7 +156,6 @@ let add_failed c id msg =
 let detector c () =
   let config = c.k_config in
   Option.iter (fun o -> Par_obs.attach o ~dom:(Par_obs.detector_dom o)) config.obs;
-  let period = float_of_int (max 50 config.detector_period_us) /. 1e6 in
   let timeout_s =
     match config.policy with Engine.Timeout n -> Some (float_of_int n /. 1000.) | _ -> None
   in
@@ -168,7 +166,7 @@ let detector c () =
   in
   let last_progress = ref (0, Unix.gettimeofday ()) in
   while not (Atomic.get c.k_stop) do
-    Unix.sleepf period;
+    Unix.sleepf detector_period_s;
     (* The detector doubles as the ring coordinator: it is the single
        consumer of the per-domain event rings while the run is live. *)
     Option.iter (fun o -> ignore (Par_obs.drain o)) config.obs;
@@ -183,12 +181,8 @@ let detector c () =
         let report =
           Shard_table.stall_report ~elapsed_s:(Unix.gettimeofday () -. lt) c.k_locks
         in
-        (* Structured consumers take the report itself; without a sink
-           the pretty-printed dump goes to stderr as before. *)
-        if Tavcc_obs.Sink.is_null config.stall_sink then
-          Format.eprintf "@[<v>=== par watchdog: no progress for %.1fs ===@,%a=== end ===@]@."
-            report.Shard_table.sr_elapsed_s Shard_table.pp_stall_report report
-        else Tavcc_obs.Sink.push config.stall_sink report;
+        Format.eprintf "@[<v>=== par watchdog: no progress for %.1fs ===@,%a=== end ===@]@."
+          report.Shard_table.sr_elapsed_s Shard_table.pp_stall_report report;
         last_progress := (p, Unix.gettimeofday ())
       end
     end;
@@ -314,7 +308,7 @@ let backoff c ~id attempt =
   let config = c.k_config in
   if config.restart_backoff_us > 0 && attempt > 0 then begin
     let base = config.restart_backoff_us in
-    let cap = max base config.backoff_cap_us in
+    let cap = max base backoff_cap_us in
     let bounded = min cap (base * (1 lsl min 20 (attempt - 1))) in
     let rng = Tavcc_sim.Rng.create ((id * 1_000_003) + attempt) in
     let jitter = if bounded >= 2 then Tavcc_sim.Rng.int rng (bounded / 2) else 0 in
@@ -323,171 +317,131 @@ let backoff c ~id attempt =
     Unix.sleepf (float_of_int us /. 1e6)
   end
 
+(* --- the transaction lifecycle -------------------------------------------
+
+   Queued, batch and interactive transactions begin, commit and abort
+   through [begin_attempt], [commit] and [abort]; the attempt itself is
+   {!Tavcc_cc.Attempt}, shared with the step engine. *)
+
+let journal c f = match c.k_config.journal with Some j -> f j | None -> ()
+
+let begin_attempt c ~id ~n txn =
+  Shard_table.register c.k_locks ~id ~birth:id;
+  oemit c (Par_obs.E_begin { txn = id; attempt = n });
+  Attempt.start ~record:(record c)
+    ~acquire:(fun r -> Shard_table.acquire_blocking c.k_locks ~policy:c.k_wait_policy r)
+    txn
+
+(* The one commit path.  The caller has run [j_commit] already, under the
+   locks and before the undo log goes: a journalled commit is durable
+   before anyone can read its effects, and a failed force is undone like
+   any other failure. *)
+let commit c a ~id ~n ~mode ?began () =
+  Attempt.commit a;
+  (match mode with
+  | Some Scheme.Mv_snapshot -> Atomic.incr c.k_n.n_snapshot_commits
+  | Some Scheme.Mv_optimistic -> Atomic.incr c.k_n.n_occ_commits
+  | Some Scheme.Mv_pessimistic | None -> ());
+  oemit c (Par_obs.E_commit { txn = id; attempt = n });
+  Atomic.incr c.k_n.n_commits;
+  tick c (fun p ->
+      Metrics.incr p.pm_commits;
+      Option.iter
+        (fun t0 ->
+          Metrics.observe p.pm_txn_us (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6)))
+        began);
+  Shard_table.finish c.k_locks id;
+  ignore (Shard_table.release_all c.k_locks id)
+
+(* Why an attempt was aborted, as its event label; [None] when it failed
+   outright (the interpreter or a journal hook raised) and must not
+   restart. *)
+let abort_reason c = function
+  | Shard_table.Aborted reason ->
+      (match reason with
+      | Shard_table.Wounded _ ->
+          Atomic.incr c.k_n.n_wounds;
+          tick c (fun p -> Metrics.incr p.pm_wounds)
+      | Shard_table.Died ->
+          Atomic.incr c.k_n.n_died;
+          tick c (fun p -> Metrics.incr p.pm_died)
+      | Shard_table.Deadlock_victim | Shard_table.Timed_out -> ());
+      Some (Shard_table.reason_name reason)
+  | Scheme.Validation_failed -> (
+      (* optimistic commit lost its validation race: same shape as a
+         deadlock abort *)
+      Atomic.incr c.k_n.n_occ_vfails;
+      Some "validation")
+  | _ -> None
+
+(* The one abort path: undo while the locks are still held (strict 2PL),
+   then [j_abort] if [j_begin] returned, then release and wake whoever
+   was queued behind.  It does not raise: when the undo or [j_abort]
+   fails the locks are released all the same, and the failure comes back
+   as the message. *)
+let abort c a ~id ~n ~journalled ~reason ~counted =
+  oemit c (Par_obs.E_abort { txn = id; attempt = n; reason });
+  if counted then begin
+    Atomic.incr c.k_n.n_aborts;
+    tick c (fun p -> Metrics.incr p.pm_aborts)
+  end;
+  let error =
+    match
+      if Attempt.abort a c.k_store = Some Scheme.Mv_snapshot then
+        Atomic.incr c.k_n.n_snapshot_aborts;
+      if journalled then journal c (fun j -> j.j_abort id)
+    with
+    | () -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
+  Shard_table.finish c.k_locks id;
+  ignore (Shard_table.release_all c.k_locks id);
+  error
+
 let run_job c ~dom (id, actions) =
   let config = c.k_config in
-  let scheme = c.k_scheme in
-  let store = c.k_store in
-  let locks = c.k_locks in
   let probe =
     Option.map
-      (fun mk -> mk ~dom ~txn:id ~holds:(Shard_table.holds locks id))
+      (fun mk -> mk ~dom ~txn:id ~holds:(Shard_table.holds c.k_locks id))
       config.probe
   in
-  let jn f = match config.journal with Some j -> f j | None -> () in
-  let rec attempt n txn : job_status =
-    Shard_table.register locks ~id ~birth:id;
-    oemit c (Par_obs.E_begin { txn = id; attempt = n });
-    jn (fun j -> j.j_begin id);
+  let rec attempt n txn =
+    let a = begin_attempt c ~id ~n txn in
     let began = Unix.gettimeofday () in
-    let finish_and_release () =
-      Shard_table.finish locks id;
-      ignore (Shard_table.release_all locks id)
-    in
-    let session = ref None in
-    let close_session_abort () =
-      (match !session with
-      | Some s ->
-          if s.Scheme.ms_mode = Scheme.Mv_snapshot then Atomic.incr c.k_n.n_snapshot_aborts;
-          s.Scheme.ms_abort ()
-      | None -> ());
-      session := None
-    in
-    let retry_or_fail () : job_status =
-      if n >= config.max_restarts then begin
-        add_failed c id "exceeded max restarts";
-        Job_failed "exceeded max restarts"
-      end
-      else begin
-        Atomic.incr c.k_n.n_restarts;
-        tick c (fun p -> Metrics.incr p.pm_restarts);
-        backoff c ~id (n + 1);
-        attempt (n + 1) (Txn.reset_for_restart txn)
-      end
-    in
+    let journalled = ref false in
     match
-      record c (History.Begin id);
-      let ctx =
-        {
-          Scheme.txn;
-          acquire = (fun r -> Shard_table.acquire_blocking locks ~policy:c.k_wait_policy r);
-        }
+      journal c (fun j -> j.j_begin id);
+      journalled := true;
+      let mode =
+        Attempt.run a ~scheme:c.k_scheme ~store:c.k_store ?probe ~max_steps:config.max_steps
+          actions
       in
-      let mv =
-        Option.map
-          (fun m ->
-            m.Scheme.mv_begin ctx ~read:(Store.read store) ~class_of:(Store.class_of store)
-              actions)
-          scheme.Scheme.mvcc
-      in
-      session := mv;
-      let versioned =
-        match mv with
-        | Some s -> s.Scheme.ms_mode <> Scheme.Mv_pessimistic
-        | None -> false
-      in
-      let on_read oid f =
-        (* versioned reads enter the history as [Snapshot_read]s below *)
-        if not versioned then record c (History.Read (id, oid, f))
-      in
-      let on_write oid f = record c (History.Write (id, oid, f)) in
-      Exec.begin_txn ~scheme ~store ~ctx actions;
-      List.iter
-        (fun a ->
-          Exec.perform ~scheme ~store ~ctx ?mv ~on_read ~on_write ?probe
-            ~max_steps:config.max_steps a)
-        actions;
-      match mv with
-      | None -> ()
-      | Some s ->
-          (* A deadlock victim that got this far is allowed to commit
-             (it releases its locks either way — see the mli); precommit
-             may still abort on its own terms (deferred lock
-             acquisition checks the kill flag, validation may fail);
-             publish is the point of no return. *)
-          let write oid f v =
-            let before = Store.read store oid f in
-            Txn.log_write txn oid f ~before;
-            record c (History.Write (id, oid, f));
-            Store.write store oid f v
-          in
-          s.Scheme.ms_precommit ctx ~write;
-          if versioned then begin
-            record c (History.Snapshot (id, s.Scheme.ms_snapshot));
-            List.iter
-              (fun (oid, f, vts) -> record c (History.Snapshot_read (id, oid, f, vts)))
-              (s.Scheme.ms_reads ())
-          end;
-          (match s.Scheme.ms_publish () with
-          | Some ts -> record c (History.Publish (id, ts))
-          | None -> ())
+      journal c (fun j -> j.j_commit id);
+      mode
     with
-    | () ->
-        (match !session with
-        | Some s -> (
-            match s.Scheme.ms_mode with
-            | Scheme.Mv_snapshot -> Atomic.incr c.k_n.n_snapshot_commits
-            | Scheme.Mv_optimistic -> Atomic.incr c.k_n.n_occ_commits
-            | Scheme.Mv_pessimistic -> ())
-        | None -> ());
-        session := None;
-        Txn.commit txn;
-        (* Force the WAL while the locks are still held: a journalled
-           commit is durable before anyone can read its effects. *)
-        jn (fun j -> j.j_commit id);
-        record c (History.Commit id);
-        oemit c (Par_obs.E_commit { txn = id; attempt = n });
-        Atomic.incr c.k_n.n_commits;
-        tick c (fun p ->
-            Metrics.incr p.pm_commits;
-            Metrics.observe p.pm_txn_us
-              (int_of_float ((Unix.gettimeofday () -. began) *. 1e6)));
-        finish_and_release ();
+    | mode ->
+        commit c a ~id ~n ~mode ~began ();
         Job_committed { restarts = n }
-    | exception Shard_table.Aborted reason ->
-        close_session_abort ();
-        oemit c
-          (Par_obs.E_abort
-             { txn = id; attempt = n; reason = Shard_table.reason_name reason });
-        (match reason with
-        | Shard_table.Wounded _ ->
-            Atomic.incr c.k_n.n_wounds;
-            tick c (fun p -> Metrics.incr p.pm_wounds)
-        | Shard_table.Died ->
-            Atomic.incr c.k_n.n_died;
-            tick c (fun p -> Metrics.incr p.pm_died)
-        | Shard_table.Deadlock_victim | Shard_table.Timed_out -> ());
-        Atomic.incr c.k_n.n_aborts;
-        tick c (fun p -> Metrics.incr p.pm_aborts);
-        record c (History.Abort id);
-        (* Undo while the locks are still held (strict 2PL), then
-           release and wake whoever was queued behind us. *)
-        Txn.abort store txn;
-        jn (fun j -> j.j_abort id);
-        finish_and_release ();
-        retry_or_fail ()
-    | exception Scheme.Validation_failed ->
-        (* optimistic commit lost its validation race: same shape as a
-           deadlock abort — undo, release, restart with backoff *)
-        close_session_abort ();
-        oemit c (Par_obs.E_abort { txn = id; attempt = n; reason = "validation" });
-        Atomic.incr c.k_n.n_occ_vfails;
-        Atomic.incr c.k_n.n_aborts;
-        tick c (fun p -> Metrics.incr p.pm_aborts);
-        record c (History.Abort id);
-        Txn.abort store txn;
-        jn (fun j -> j.j_abort id);
-        finish_and_release ();
-        retry_or_fail ()
-    | exception e ->
-        close_session_abort ();
-        oemit c (Par_obs.E_abort { txn = id; attempt = n; reason = "failed" });
-        record c (History.Abort id);
-        Txn.abort store txn;
-        jn (fun j -> j.j_abort id);
-        finish_and_release ();
-        let msg = Printexc.to_string e in
-        add_failed c id msg;
-        Job_failed msg
+    | exception e -> (
+        let reason = abort_reason c e in
+        match
+          abort c a ~id ~n ~journalled:!journalled
+            ~reason:(Option.value reason ~default:"failed") ~counted:(reason <> None)
+        with
+        | None when reason <> None && n < config.max_restarts ->
+            Atomic.incr c.k_n.n_restarts;
+            tick c (fun p -> Metrics.incr p.pm_restarts);
+            backoff c ~id (n + 1);
+            attempt (n + 1) (Txn.reset_for_restart txn)
+        | error ->
+            let msg =
+              match (error, reason) with
+              | Some msg, _ -> msg
+              | None, Some _ -> "exceeded max restarts"
+              | None, None -> Printexc.to_string e
+            in
+            add_failed c id msg;
+            Job_failed msg)
   in
   attempt 0 (Txn.make ~id ~birth:id)
 
@@ -526,42 +480,13 @@ let core_finish c =
     history = c.k_history;
   }
 
-(* --- batch driver ----------------------------------------------------- *)
-
-let run ?(config = default_config) ~scheme ~store ~jobs () =
-  List.iter
-    (fun (id, _) ->
-      if id <= 0 then invalid_arg "Par_engine.run: transaction ids must be positive")
-    jobs;
-  let c = make_core ~config ~scheme ~store () in
-  let jobs_arr = Array.of_list jobs in
-  let cursor = Atomic.make 0 in
-  let worker dom () =
-    Option.iter (fun o -> Par_obs.attach o ~dom) config.obs;
-    let busy = busy_counter c dom in
-    let rec pull () =
-      let i = Atomic.fetch_and_add cursor 1 in
-      if i < Array.length jobs_arr then begin
-        let j0 = Unix.gettimeofday () in
-        ignore (run_job c ~dom jobs_arr.(i));
-        Option.iter
-          (fun cnt -> Metrics.add cnt (int_of_float ((Unix.gettimeofday () -. j0) *. 1e6)))
-          busy;
-        pull ()
-      end
-    in
-    pull ()
-  in
-  let workers = List.init config.domains (fun dom -> Domain.spawn (worker dom)) in
-  List.iter Domain.join workers;
-  core_finish c
-
 (* --- submission service ----------------------------------------------
 
-   The same core behind a bounded job queue: an external driver (the
-   network server front-end) feeds transactions in as they arrive and the
-   worker domains drain them.  The queue bound is the admission-control
-   point — a full queue rejects instead of buffering without limit. *)
+   The core behind a job queue: an external driver (the network server
+   front-end) feeds transactions in as they arrive, [run] feeds a whole
+   batch at once, and the worker domains drain the queue.  For [submit]
+   the queue bound is the admission-control point: a full queue rejects
+   instead of buffering without limit. *)
 
 type submit_outcome = Accepted | Saturated | Closed
 
@@ -630,24 +555,24 @@ let service_start ?(config = default_config) ?(queue_capacity = 256) ~scheme ~st
   s.s_workers <- List.init config.domains (fun d -> Domain.spawn (service_worker s d));
   s
 
+(* The caller holds [s_mu]. *)
+let enqueue s job =
+  Queue.push job s.s_q;
+  s.s_in_flight <- s.s_in_flight + 1;
+  Condition.signal s.s_nonempty
+
 let submit s ~actions ~k =
   Mutex.lock s.s_mu;
-  if s.s_closed then begin
-    Mutex.unlock s.s_mu;
-    Closed
-  end
-  else if Queue.length s.s_q >= s.s_cap then begin
-    Mutex.unlock s.s_mu;
-    Saturated
-  end
-  else begin
-    let id = Atomic.fetch_and_add s.s_next_id 1 in
-    Queue.push (id, actions, k) s.s_q;
-    s.s_in_flight <- s.s_in_flight + 1;
-    Condition.signal s.s_nonempty;
-    Mutex.unlock s.s_mu;
-    Accepted
-  end
+  let outcome =
+    if s.s_closed then Closed
+    else if Queue.length s.s_q >= s.s_cap then Saturated
+    else begin
+      enqueue s (Atomic.fetch_and_add s.s_next_id 1, actions, k);
+      Accepted
+    end
+  in
+  Mutex.unlock s.s_mu;
+  outcome
 
 let service_backlog s =
   Mutex.lock s.s_mu;
@@ -678,6 +603,19 @@ let service_stop s =
   List.iter Domain.join s.s_workers;
   core_finish s.s_core
 
+(* --- batch driver ----------------------------------------------------- *)
+
+let run ?(config = default_config) ~scheme ~store ~jobs () =
+  List.iter
+    (fun (id, _) ->
+      if id <= 0 then invalid_arg "Par_engine.run: transaction ids must be positive")
+    jobs;
+  let s = service_start ~config ~scheme ~store () in
+  Mutex.lock s.s_mu;
+  List.iter (fun (id, actions) -> enqueue s (id, actions, ignore)) jobs;
+  Mutex.unlock s.s_mu;
+  service_stop s
+
 (* --- interactive transactions ----------------------------------------
 
    A session-owned transaction driven one statement at a time on the
@@ -693,8 +631,7 @@ let interactive_supported (scheme : Scheme.t) =
 type itxn = {
   it_service : service;
   it_id : int;
-  it_txn : Txn.t;
-  it_ctx : Scheme.ctx;
+  it_attempt : Attempt.t;
   mutable it_open : bool;
 }
 
@@ -708,27 +645,21 @@ let itxn_close it =
   if s.s_in_flight = 0 then Condition.broadcast s.s_idle;
   Mutex.unlock s.s_mu
 
-(* Abort path shared by kill/runtime-error/rollback: undo under the held
-   locks, then release and wake the queue — exactly [run_job]'s order. *)
-let itxn_abort_internal it reason_metrics =
+exception Rolled_back
+
+(* Every interactive abort is counted, whatever its cause, and closes the
+   transaction for good: the client decides whether to retry. *)
+let itxn_fail ?(journalled = true) it e =
   let c = it.it_service.s_core in
-  (match reason_metrics with
-  | Some (Shard_table.Wounded _) ->
-      Atomic.incr c.k_n.n_wounds;
-      tick c (fun p -> Metrics.incr p.pm_wounds)
-  | Some Shard_table.Died ->
-      Atomic.incr c.k_n.n_died;
-      tick c (fun p -> Metrics.incr p.pm_died)
-  | Some (Shard_table.Deadlock_victim | Shard_table.Timed_out) | None -> ());
-  Atomic.incr c.k_n.n_aborts;
-  tick c (fun p -> Metrics.incr p.pm_aborts);
-  record c (History.Abort it.it_id);
-  oemit c (Par_obs.E_abort { txn = it.it_id; attempt = 0; reason = "interactive" });
-  Txn.abort c.k_store it.it_txn;
-  (match c.k_config.journal with Some j -> j.j_abort it.it_id | None -> ());
-  Shard_table.finish c.k_locks it.it_id;
-  ignore (Shard_table.release_all c.k_locks it.it_id);
-  itxn_close it
+  let reason = abort_reason c e in
+  let error =
+    abort c it.it_attempt ~id:it.it_id ~n:0 ~journalled ~reason:"interactive" ~counted:true
+  in
+  itxn_close it;
+  match (error, reason) with
+  | Some msg, _ -> Error msg
+  | None, Some r -> Error ("aborted: " ^ r)
+  | None, None -> Error (Printexc.to_string e)
 
 let itxn_begin s =
   let c = s.s_core in
@@ -746,24 +677,11 @@ let itxn_begin s =
       let id = Atomic.fetch_and_add s.s_next_id 1 in
       s.s_in_flight <- s.s_in_flight + 1;
       Mutex.unlock s.s_mu;
-      Shard_table.register c.k_locks ~id ~birth:id;
-      (match c.k_config.journal with Some j -> j.j_begin id | None -> ());
-      let txn = Txn.make ~id ~birth:id in
-      let ctx =
-        {
-          Scheme.txn;
-          acquire =
-            (fun r -> Shard_table.acquire_blocking c.k_locks ~policy:c.k_wait_policy r);
-        }
-      in
-      record c (History.Begin id);
-      oemit c (Par_obs.E_begin { txn = id; attempt = 0 });
-      let it = { it_service = s; it_id = id; it_txn = txn; it_ctx = ctx; it_open = true } in
-      match Exec.begin_txn ~scheme:c.k_scheme ~store:c.k_store ~ctx [] with
+      let a = begin_attempt c ~id ~n:0 (Txn.make ~id ~birth:id) in
+      let it = { it_service = s; it_id = id; it_attempt = a; it_open = true } in
+      match journal c (fun j -> j.j_begin id) with
       | () -> Ok it
-      | exception e ->
-          itxn_abort_internal it None;
-          Error (Printexc.to_string e)
+      | exception e -> itxn_fail ~journalled:false it e
     end
   end
 
@@ -771,38 +689,25 @@ let itxn_perform it action =
   let c = it.it_service.s_core in
   if not it.it_open then Error "transaction is closed"
   else
-    let on_read oid f = record c (History.Read (it.it_id, oid, f)) in
-    let on_write oid f = record c (History.Write (it.it_id, oid, f)) in
     match
-      Exec.perform ~scheme:c.k_scheme ~store:c.k_store ~ctx:it.it_ctx ~on_read ~on_write
-        ~max_steps:c.k_config.max_steps action
+      Attempt.run it.it_attempt ~scheme:c.k_scheme ~store:c.k_store
+        ~max_steps:c.k_config.max_steps [ action ]
     with
-    | () -> Ok ()
-    | exception Shard_table.Aborted reason ->
-        itxn_abort_internal it (Some reason);
-        Error (Printf.sprintf "aborted: %s" (Shard_table.reason_name reason))
-    | exception e ->
-        itxn_abort_internal it None;
-        Error (Printexc.to_string e)
+    | _ -> Ok ()
+    | exception e -> itxn_fail it e
 
 let itxn_commit it =
   let c = it.it_service.s_core in
   if not it.it_open then Error "transaction is closed"
   else
-    match Shard_table.check_killed c.k_locks it.it_id with
+    match
+      Shard_table.check_killed c.k_locks it.it_id;
+      journal c (fun j -> j.j_commit it.it_id)
+    with
     | () ->
-        Txn.commit it.it_txn;
-        (match c.k_config.journal with Some j -> j.j_commit it.it_id | None -> ());
-        record c (History.Commit it.it_id);
-        oemit c (Par_obs.E_commit { txn = it.it_id; attempt = 0 });
-        Atomic.incr c.k_n.n_commits;
-        tick c (fun p -> Metrics.incr p.pm_commits);
-        Shard_table.finish c.k_locks it.it_id;
-        ignore (Shard_table.release_all c.k_locks it.it_id);
+        commit c it.it_attempt ~id:it.it_id ~n:0 ~mode:None ();
         itxn_close it;
         Ok ()
-    | exception Shard_table.Aborted reason ->
-        itxn_abort_internal it (Some reason);
-        Error (Printf.sprintf "aborted: %s" (Shard_table.reason_name reason))
+    | exception e -> itxn_fail it e
 
-let itxn_rollback it = if it.it_open then itxn_abort_internal it None
+let itxn_rollback it = if it.it_open then ignore (itxn_fail it Rolled_back)

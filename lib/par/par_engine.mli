@@ -48,13 +48,12 @@ type config = {
   policy : Tavcc_sim.Engine.deadlock_policy;
   max_restarts : int;  (** per transaction; beyond it the txn fails *)
   max_steps : int;  (** interpreter fuel per action *)
-  detector_period_us : int;  (** deadlock/timeout sweep period *)
   restart_backoff_us : int;
       (** base of the exponential abort backoff: attempt [n] sleeps a
           uniformly jittered duration in [[b/2, b]] for
-          [b = min cap (base * 2^(n-1))], the jitter seeded from
-          [(txn id, attempt)] so runs stay reproducible; 0 disables *)
-  backoff_cap_us : int;  (** ceiling of the exponential doubling *)
+          [b = min cap (base * 2^(n-1))] with a 5 ms [cap], the jitter
+          seeded from [(txn id, attempt)] so runs stay reproducible; 0
+          disables *)
   record_history : bool;
   metrics : Tavcc_obs.Metrics.t option;
       (** counters [par.commits], [par.aborts], [par.deadlocks],
@@ -71,12 +70,6 @@ type config = {
           and — with [keep_events] — the multicore Perfetto export.  Must
           have been created with this config's [domains].
           @raise Invalid_argument otherwise *)
-  stall_sink : Shard_table.stall_report Tavcc_obs.Sink.t;
-      (** where the [TAVCC_PAR_WATCHDOG] stall dump goes: [Sink.null]
-          (the default) pretty-prints to stderr as before; any other sink
-          receives the structured {!Shard_table.stall_report} instead
-          (render with [Shard_table.stall_report_to_json]).  The env var
-          still arms the watchdog either way. *)
   probe :
     (dom:int ->
     txn:int ->
@@ -93,13 +86,36 @@ type config = {
   journal : journal option;
       (** durability hooks, called on the thread that runs the
           transaction (writes between them run on the same thread, so a
-          thread-keyed ambient transaction works): [j_begin] right after
-          the transaction registers with the lock manager, [j_commit]
-          after a successful commit {e while the locks are still held}
-          (a journalled commit must be durable before its effects are
-          readable), and [j_abort] after [Txn.abort] rolled the store
-          back, also under the locks.  [Tavcc_storage.Engine.journal]
-          builds the record for the disk-resident store. *)
+          thread-keyed ambient transaction works):
+          - [j_begin] at the start of every attempt, right after the
+            transaction registers with the lock manager and before the
+            body runs;
+          - [j_commit] after the body (and an MVCC session's publish),
+            {e while the locks and the undo log are still held}: a
+            journalled commit is durable before its effects are
+            readable;
+          - [j_abort] on every attempt whose [j_begin] returned and that
+            does not commit, after the in-memory undo and still under the
+            locks.
+
+          A hook that raises never takes a worker down and never strands
+          locks.  When [j_begin] or [j_commit] raises, the attempt is
+          aborted like any other failure — in-memory undo, then [j_abort]
+          (unless [j_begin] was the one that raised), then release — and
+          the job ends [Job_failed] with the exception's text, without a
+          restart ([itxn_commit] returns [Error]).  A failed [j_commit]
+          leaves the in-memory store rolled back, but an MVCC session has
+          already published its versions by then, and they stay published.
+          What a restart finds depends on the journal:
+          [Tavcc_storage.Engine] logged its commit record before the force
+          that failed, and [j_abort] logs the compensations after it.
+          Recovery repeats both, so a restart finds the transaction rolled
+          back once the compensations are on disk, and committed if only
+          the commit record got there.  When [j_abort] raises, the locks
+          are still released and the job fails with that exception's
+          text.
+          [Tavcc_storage.Engine.journal] builds the record for the
+          disk-resident store. *)
 }
 
 (** See {!config.journal}. *)
@@ -110,9 +126,10 @@ and journal = {
 }
 
 val default_config : config
-(** 4 domains, 8 shards, [Detect], 1000 restarts, 500 us detector
-    period, 50 us backoff base capped at 5 ms, no history, no
-    metrics, no event streams, stderr stall dumps, no probe. *)
+(** 4 domains, 8 shards, [Detect], 1000 restarts, 50 us backoff base,
+    no history, no metrics, no event streams, no probe, no journal.  The
+    detector sweeps every 500 us; the [TAVCC_PAR_WATCHDOG] stall dump
+    ({!Shard_table.stall_report}) goes to stderr. *)
 
 type result = {
   commits : int;
@@ -148,9 +165,10 @@ val run :
   unit ->
   result
 (** Ids must be distinct and positive; births equal ids (lower id =
-    older, as in the step engine).  Jobs are dispensed to workers from an
-    atomic cursor in list order; every job runs to commit or to
-    [max_restarts]. *)
+    older, as in the step engine).  The jobs go, in list order, into the
+    queue of a {!service_start}ed service, whose workers run them; every
+    job runs to commit, to [max_restarts] or to a failure, and [run]
+    returns {!service_stop}'s result. *)
 
 (** {1 Submission service}
 

@@ -116,7 +116,6 @@ type task = {
   mutable restarts : int;
   mutable parked_at : int;  (* scheduler step at which the fiber parked *)
   mutable began_at : int;  (* step at which the current attempt began *)
-  mutable session : Scheme.mvcc_session option;  (* open mvcc session of the attempt *)
 }
 
 (* Engine-level metric handles, resolved once per run. *)
@@ -175,7 +174,7 @@ let run ?(config = default_config) ~scheme ~store ~jobs () =
       (fun (id, actions) ->
         if id <= 0 then invalid_arg "Engine.run: transaction ids must be positive";
         { id; actions; txn = Txn.make ~id ~birth:id; state = Ready; k = None; restarts = 0;
-          parked_at = 0; began_at = 0; session = None })
+          parked_at = 0; began_at = 0 })
       jobs
   in
   let task_of_txn id =
@@ -191,27 +190,33 @@ let run ?(config = default_config) ~scheme ~store ~jobs () =
       reqs
   in
   let release_and_wake id = wake (Lock_table.release_all locks id) in
-  let cleanup_abort t =
-    (match t.session with Some s -> s.Scheme.ms_abort () | None -> ());
-    t.session <- None;
-    incr aborts;
-    tick (fun e -> Metrics.incr e.em_aborts);
+  (* The one abort path: a deadlock victim, a failed validation, or a
+     transaction that raised.  The observer hears of the abort before the
+     in-memory undo, so a journal rolls the store back first. *)
+  let abort t a exn =
+    let restartable =
+      match exn with Deadlock_abort | Scheme.Validation_failed -> true | _ -> false
+    in
     end_attempt t;
-    emit (Ev_abort t.id);
-    History.record history (History.Abort t.id);
+    if restartable then begin
+      incr aborts;
+      tick (fun e -> Metrics.incr e.em_aborts);
+      emit (Ev_abort t.id)
+    end;
     observe (Ob_abort t.id);
-    Txn.abort store t.txn;
+    ignore (Attempt.abort a store);
     release_and_wake t.id;
     t.k <- None;
-    if t.restarts >= config.max_restarts then begin
-      t.state <- Dead;
-      failed := (t.id, "exceeded max restarts") :: !failed
-    end
-    else begin
+    if restartable && t.restarts < config.max_restarts then begin
       t.restarts <- t.restarts + 1;
       tick (fun e -> Metrics.incr e.em_restarts);
       t.txn <- Txn.reset_for_restart t.txn;
       t.state <- Ready
+    end
+    else begin
+      t.state <- Dead;
+      let msg = if restartable then "exceeded max restarts" else Printexc.to_string exn in
+      failed := (t.id, msg) :: !failed
     end
   in
   let abort_victim vid =
@@ -305,112 +310,46 @@ let run ?(config = default_config) ~scheme ~store ~jobs () =
         wait false
   in
   let start t =
+    let a =
+      Attempt.start ~record:(History.record history) ~acquire:(acquire t) t.txn
+    in
     let body () =
       t.began_at <- !steps;
       emit (Ev_begin t.id);
-      History.record history (History.Begin t.id);
       observe (Ob_begin t.id);
-      let ctx = { Scheme.txn = t.txn; acquire = (fun req -> acquire t req) } in
-      let mv =
-        Option.map
-          (fun m ->
-            m.Scheme.mv_begin ctx
-              ~read:(Tavcc_model.Store.read store)
-              ~class_of:(Tavcc_model.Store.class_of store)
-              t.actions)
-          scheme.Scheme.mvcc
-      in
-      t.session <- mv;
-      let versioned =
-        match mv with
-        | Some s -> s.Scheme.ms_mode <> Scheme.Mv_pessimistic
-        | None -> false
-      in
-      let on_read oid f =
-        (* versioned reads enter the history as [Snapshot_read]s at commit *)
-        if not versioned then History.record history (History.Read (t.id, oid, f));
-        observe (Ob_read (t.id, oid, f))
-      in
-      let on_write oid f = History.record history (History.Write (t.id, oid, f)) in
       let on_update =
-        match config.hooks.hk_observe with
-        | None -> None
-        | Some _ ->
-            Some
-              (fun oid field ~before ~after ->
-                observe (Ob_write { txn = t.id; oid; field; before; after }))
+        Option.map
+          (fun f oid field ~before ~after ->
+            f (Ob_write { txn = t.id; oid; field; before; after }))
+          config.hooks.hk_observe
       in
       let yield =
-        if config.yield_on_access then fun () -> Effect.perform Yield else fun () -> ()
+        if config.yield_on_access then Some (fun () -> Effect.perform Yield) else None
       in
       let probe =
         Option.map
           (fun mk -> mk ~txn:t.id ~holds:(Lock_table.holds locks t.id))
           config.hooks.hk_probe
       in
-      Exec.begin_txn ~scheme ~store ~ctx t.actions;
-      List.iter
-        (fun a ->
-          Exec.perform ~scheme ~store ~ctx ?mv ~on_read ~on_write ?on_update ?probe
-            ~yield ~max_steps:config.max_steps a)
-        t.actions;
-      match mv with
-      | None -> ()
-      | Some s ->
-          (* two-step mvcc commit: precommit may still abort (deferred
-             locks, optimistic validation); publish is the point of no
-             return and immediately precedes the commit record *)
-          let write oid f v =
-            let before = Tavcc_model.Store.read store oid f in
-            Txn.log_write t.txn oid f ~before;
-            History.record history (History.Write (t.id, oid, f));
-            (match on_update with
-            | Some g -> g oid f ~before ~after:v
-            | None -> ());
-            Tavcc_model.Store.write store oid f v
-          in
-          s.Scheme.ms_precommit ctx ~write;
-          if versioned then begin
-            History.record history (History.Snapshot (t.id, s.Scheme.ms_snapshot));
-            List.iter
-              (fun (oid, f, vts) ->
-                History.record history (History.Snapshot_read (t.id, oid, f, vts)))
-              (s.Scheme.ms_reads ())
-          end;
-          (match s.Scheme.ms_publish () with
-          | Some ts -> History.record history (History.Publish (t.id, ts))
-          | None -> ());
-          t.session <- None
+      ignore
+        (Attempt.run a ~scheme ~store ?probe
+           ~observe_read:(fun oid f -> observe (Ob_read (t.id, oid, f)))
+           ?on_update ?yield ~max_steps:config.max_steps t.actions)
     in
     Effect.Deep.match_with body ()
       {
         retc =
           (fun () ->
-            Txn.commit t.txn;
+            Attempt.commit a;
             tick (fun e -> Metrics.incr e.em_commits);
             end_attempt t;
             emit (Ev_commit t.id);
-            History.record history (History.Commit t.id);
             observe (Ob_commit t.id);
             incr commits;
             t.state <- Finished;
             t.k <- None;
             release_and_wake t.id);
-        exnc =
-          (fun e ->
-            match e with
-            | Deadlock_abort | Scheme.Validation_failed -> cleanup_abort t
-            | e ->
-                (match t.session with Some s -> s.Scheme.ms_abort () | None -> ());
-                t.session <- None;
-                end_attempt t;
-                History.record history (History.Abort t.id);
-                observe (Ob_abort t.id);
-                Txn.abort store t.txn;
-                release_and_wake t.id;
-                t.state <- Dead;
-                t.k <- None;
-                failed := (t.id, Printexc.to_string e) :: !failed);
+        exnc = abort t a;
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
@@ -447,25 +386,15 @@ let run ?(config = default_config) ~scheme ~store ~jobs () =
     | Some f ->
         (* Only parked or yielded fibers with a live continuation can be
            discontinued the way a deadlock victim is. *)
-        let eligible =
-          List.filter
-            (fun t -> (t.state = Parked || t.state = Ready) && t.k <> None)
-            tasks
-        in
+        let abortable t = (t.state = Parked || t.state = Ready) && t.k <> None in
+        let eligible = List.filter abortable tasks in
         let ids = List.map (fun t -> t.id) eligible in
         if ids <> [] then
           List.iter
             (fun id ->
               (* Re-check at abort time: an earlier abort this round may
                  have restarted the task (fresh attempt, no continuation). *)
-              let still_eligible =
-                List.exists
-                  (fun t ->
-                    t.id = id && (t.state = Parked || t.state = Ready)
-                    && t.k <> None)
-                  eligible
-              in
-              if List.mem id ids && still_eligible then begin
+              if List.exists (fun t -> t.id = id && abortable t) eligible then begin
                 emit (Ev_forced_abort id);
                 abort_victim id
               end)

@@ -96,7 +96,11 @@ type hooks = {
   hk_on_grant : (Tavcc_lock.Lock_table.req -> unit) option;
       (** forwarded to {!Tavcc_lock.Lock_table.create}'s [on_grant] *)
   hk_observe : (access -> unit) option;
-      (** streams every begin/read/write/commit/abort, with write images *)
+      (** streams every begin/read/write/commit/abort, with write images:
+          [Ob_begin] before the attempt's MVCC session opens, [Ob_write]
+          before the store changes, [Ob_commit] after the in-memory
+          commit, and [Ob_abort] before the in-memory undo — both before
+          the locks are released *)
   hk_probe :
     (txn:int -> holds:(Tavcc_lock.Resource.t -> (int * bool) list) -> Exec.probe) option;
       (** builds a per-transaction {!Tavcc_cc.Exec.probe} at its first

@@ -24,7 +24,6 @@ type config = {
   pool_pages : int;
   self_journal : bool;
   sync : sync;
-  cache_entries : int;
   metrics : Tavcc_obs.Metrics.t option;
   io_hook : (io_point -> io_action) option;
 }
@@ -36,7 +35,6 @@ let default_config ~dir =
     pool_pages = 64;
     self_journal = true;
     sync = Buffered;
-    cache_entries = 0;
     metrics = None;
     io_hook = None;
   }
@@ -831,10 +829,8 @@ let create cfg =
       next_pid = 1;
       ckpt_lsn = 0;
       cache = Hashtbl.create 1024;
-      cache_ring =
-        Array.make
-          (if cfg.cache_entries > 0 then cfg.cache_entries else cfg.pool_pages * 32)
-          (-1);
+      (* row cache: 32 rows per pool frame *)
+      cache_ring = Array.make (cfg.pool_pages * 32) (-1);
       cache_cur = 0;
       active = Hashtbl.create 8;
       ambient = Hashtbl.create 8;

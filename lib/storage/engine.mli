@@ -68,7 +68,6 @@ type config = {
           {!observe} — inserts and deletes are still always
           self-logged. *)
   sync : sync;  (** [Fsync] pays for real durability; tests use [Buffered] *)
-  cache_entries : int;  (** row-cache capacity; 0 = 32 x [pool_pages] *)
   metrics : Tavcc_obs.Metrics.t option;
   io_hook : (io_point -> io_action) option;
       (** fault injection; may raise {!Crashed} itself.  Not consulted
@@ -76,7 +75,8 @@ type config = {
 }
 
 val default_config : dir:string -> config
-(** 4 KiB pages, 64 frames, self-journalling, buffered, no hook. *)
+(** 4 KiB pages, 64 frames, self-journalling, buffered, no hook.  The
+    row cache holds 32 x [pool_pages] rows. *)
 
 type t
 

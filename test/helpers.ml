@@ -74,3 +74,46 @@ let check_raises_invalid name f =
   match f () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+
+(* --- the slice workload's exact-sum oracle --- *)
+
+let slice_field m =
+  (* u<i> writes s<i> and nothing else. *)
+  let s = Name.Method.to_string m in
+  Name.Field.of_string ("s" ^ String.sub s 1 (String.length s - 1))
+
+(* Expected final value of every (instance, field) slot: the initial
+   value plus [work] * arg for every call, since each call body performs
+   [work] increments of its own slice field. *)
+let expected_sums store ~work jobs =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (_, actions) ->
+      List.iter
+        (function
+          | Tavcc_cc.Exec.Call (oid, m, [ Value.Vint v ]) ->
+              let key = (oid, slice_field m) in
+              let base =
+                match Hashtbl.find_opt tbl key with
+                | Some x -> x
+                | None -> (
+                    match Store.read store oid (slice_field m) with
+                    | Value.Vint x -> x
+                    | _ -> Alcotest.fail "non-int slice field")
+              in
+              Hashtbl.replace tbl key (base + (work * v))
+          | _ -> Alcotest.fail "unexpected action shape")
+        actions)
+    jobs;
+  tbl
+
+let check_sums store tbl =
+  Hashtbl.iter
+    (fun (oid, f) expect ->
+      match Store.read store oid f with
+      | Value.Vint got ->
+          if got <> expect then
+            Alcotest.failf "%a.%a = %d, expected %d (lost update)" Oid.pp oid Name.Field.pp f got
+              expect
+      | _ -> Alcotest.fail "non-int slice field")
+    tbl

@@ -390,6 +390,110 @@ let prop_random_torture =
           Torture.ok r
       | _ -> false)
 
+(* --- pinned streams: replays keep their digests across builds ---
+
+   [test_torture_deterministic] compares two replays of one build; these
+   cases compare against literal values, so a change to either engine's
+   lifecycle that moves one event, one grant or one WAL record shows
+   here.  (workload, scheme, seed, plan, event hash, commits, aborts),
+   under the default policy and then under each of the others. *)
+
+let pinned =
+  [
+    ("escalation", "tav", 1, "r:0", "7bef218a48db9340604186ff8da5982b", 6, 0);
+    ("escalation", "tav", 1, "f:;abort:3:2;cf:2;torn:1:5", "eafd37c0667e7d9a5109d660414b521c", 6, 1);
+    ("escalation", "tav", 1, "r:11;delay:4:1:3;abort:9:3;ca:5", "47d4329640d86af79d24b72c2b1ad230", 6, 1);
+    ("escalation", "tav", 1, "f:1.0.2.1;abort:2:1", "a100cd48e4dd7f2995db18feab22d7ae", 6, 1);
+    ("escalation", "rw-msg", 1, "r:0", "fab6f42b94fe9d7bacf5e0103f2f498f", 6, 12);
+    ("escalation", "rw-msg", 1, "f:;abort:3:2;cf:2;torn:1:5", "f7d5328a50a171d207c45efad31e7c0d", 6, 1);
+    ("escalation", "rw-msg", 1, "r:11;delay:4:1:3;abort:9:3;ca:5", "c09220c4fe299c072ebd8f9f835d5893", 6, 16);
+    ("escalation", "rw-msg", 1, "f:1.0.2.1;abort:2:1", "fdf86f377b9fcf4f9e7e2a315016ed9e", 6, 3);
+    ("escalation", "mvcc-tav", 1, "r:0", "7bef218a48db9340604186ff8da5982b", 6, 0);
+    ("escalation", "mvcc-tav", 1, "f:;abort:3:2;cf:2;torn:1:5", "eafd37c0667e7d9a5109d660414b521c", 6, 1);
+    ("escalation", "mvcc-tav", 1, "r:11;delay:4:1:3;abort:9:3;ca:5", "47d4329640d86af79d24b72c2b1ad230", 6, 1);
+    ("escalation", "mvcc-tav", 1, "f:1.0.2.1;abort:2:1", "a100cd48e4dd7f2995db18feab22d7ae", 6, 1);
+    ("slices", "tav", 7, "r:0", "d82215264a2c7fd41357397a1d5d012f", 6, 1);
+    ("slices", "tav", 7, "f:;abort:3:2;cf:2;torn:1:5", "8f0e7922c276630be29e3a3385ca0ad5", 6, 1);
+    ("slices", "tav", 7, "r:11;delay:4:1:3;abort:9:3;ca:5", "aaf47a09ee3cd88b7e6955128a2f21bf", 6, 2);
+    ("slices", "tav", 7, "f:1.0.2.1;abort:2:1", "228fb6dc44c7a5cedf9ddebe34b61c8e", 6, 1);
+    ("slices", "rw-msg", 7, "r:0", "be37515aac8ee483588753a987b4be69", 6, 4);
+    ("slices", "rw-msg", 7, "f:;abort:3:2;cf:2;torn:1:5", "8f0e7922c276630be29e3a3385ca0ad5", 6, 1);
+    ("slices", "rw-msg", 7, "r:11;delay:4:1:3;abort:9:3;ca:5", "69a0629fc256f163008f49942a541a99", 6, 4);
+    ("slices", "rw-msg", 7, "f:1.0.2.1;abort:2:1", "6385ba7852877db38e4336a97b709959", 6, 1);
+    ("slices", "mvcc-tav", 7, "r:0", "d82215264a2c7fd41357397a1d5d012f", 6, 1);
+    ("slices", "mvcc-tav", 7, "f:;abort:3:2;cf:2;torn:1:5", "8f0e7922c276630be29e3a3385ca0ad5", 6, 1);
+    ("slices", "mvcc-tav", 7, "r:11;delay:4:1:3;abort:9:3;ca:5", "aaf47a09ee3cd88b7e6955128a2f21bf", 6, 2);
+    ("slices", "mvcc-tav", 7, "f:1.0.2.1;abort:2:1", "228fb6dc44c7a5cedf9ddebe34b61c8e", 6, 1);
+    ("mixed", "tav", 42, "r:0", "2ea9b27a66001af6a4231835943bee36", 8, 1);
+    ("mixed", "tav", 42, "f:;abort:3:2;cf:2;torn:1:5", "507829d626d3c0677e9384d1d1753d02", 8, 1);
+    ("mixed", "tav", 42, "r:11;delay:4:1:3;abort:9:3;ca:5", "938d1a6fa0fe4189fb86fbd1ff026a8e", 8, 2);
+    ("mixed", "tav", 42, "f:1.0.2.1;abort:2:1", "d9722ca58eecd5586d0e5e700fd9a2bf", 8, 1);
+    ("mixed", "rw-msg", 42, "r:0", "7f2cdee49da2d86d6c2d1fb37971902d", 8, 3);
+    ("mixed", "rw-msg", 42, "f:;abort:3:2;cf:2;torn:1:5", "507829d626d3c0677e9384d1d1753d02", 8, 1);
+    ("mixed", "rw-msg", 42, "r:11;delay:4:1:3;abort:9:3;ca:5", "b4e1e2d1eec0e02a66a53ddb7c36cd2e", 8, 3);
+    ("mixed", "rw-msg", 42, "f:1.0.2.1;abort:2:1", "d9722ca58eecd5586d0e5e700fd9a2bf", 8, 1);
+    ("mixed", "mvcc-tav", 42, "r:0", "c7ae9d5b71e28230b1c6c00a1cc91509", 8, 1);
+    ("mixed", "mvcc-tav", 42, "f:;abort:3:2;cf:2;torn:1:5", "4eac06d50d292433dc275d6bd7d36f3b", 8, 1);
+    ("mixed", "mvcc-tav", 42, "r:11;delay:4:1:3;abort:9:3;ca:5", "5397be1d43b51355c2b8602baabeae60", 8, 2);
+    ("mixed", "mvcc-tav", 42, "f:1.0.2.1;abort:2:1", "cb52356d968292cd7eaa7ac65390f773", 8, 1);
+    ("random", "tav", 99, "r:0", "1760d7616969872e022baabc67ae2b1d", 5, 1);
+    ("random", "tav", 99, "f:;abort:3:2;cf:2;torn:1:5", "9b72b078755918599d49a86e40d70961", 5, 1);
+    ("random", "tav", 99, "r:11;delay:4:1:3;abort:9:3;ca:5", "e362effc5bc4f84b98bd3800f627f252", 5, 1);
+    ("random", "tav", 99, "f:1.0.2.1;abort:2:1", "c118434c59dd4dca8bf2e23b16f3a8cc", 5, 1);
+    ("random", "rw-msg", 99, "r:0", "b34d6c149a30962571fd2f3c8491588f", 5, 1);
+    ("random", "rw-msg", 99, "f:;abort:3:2;cf:2;torn:1:5", "b746e17923b144d24ea761a91c792a9a", 5, 1);
+    ("random", "rw-msg", 99, "r:11;delay:4:1:3;abort:9:3;ca:5", "d33e89a1a81cfdc7d797131b0614e4ec", 5, 1);
+    ("random", "rw-msg", 99, "f:1.0.2.1;abort:2:1", "283aa09f931a03a2396f4e25b50456db", 5, 1);
+    ("random", "mvcc-tav", 99, "r:0", "1760d7616969872e022baabc67ae2b1d", 5, 1);
+    ("random", "mvcc-tav", 99, "f:;abort:3:2;cf:2;torn:1:5", "9b72b078755918599d49a86e40d70961", 5, 1);
+    ("random", "mvcc-tav", 99, "r:11;delay:4:1:3;abort:9:3;ca:5", "e362effc5bc4f84b98bd3800f627f252", 5, 1);
+    ("random", "mvcc-tav", 99, "f:1.0.2.1;abort:2:1", "666048bad23b8e2a4a6173d44da2b917", 5, 2);
+  ]
+
+let pinned_policies =
+  [
+    ("wound-wait", "rw-msg", "r:0", "9a78907857ea5942bebacf43bd2fa7d0", 6, 14);
+    ("wound-wait", "rw-msg", "r:11;delay:4:1:3;abort:9:3;ca:5", "c792e91ba36087fba256eb25722fc0fc", 6, 16);
+    ("wait-die", "rw-msg", "r:0", "fff92e2beb41d73b71574d30b1ad4545", 6, 82);
+    ("wait-die", "rw-msg", "r:11;delay:4:1:3;abort:9:3;ca:5", "4422025a5478cb006c3547daea402712", 6, 92);
+    ("no-wait", "rw-msg", "r:0", "5ed8f58c43c47fe73ca39a6ec32897ca", 2, 599);
+    ("no-wait", "rw-msg", "r:11;delay:4:1:3;abort:9:3;ca:5", "8555f62ecf1e0dc20b9343596a6102f3", 2, 596);
+    ("timeout", "rw-msg", "r:0", "5c5ad50fdb68b4f07adca2935a3d93fe", 6, 15);
+    ("timeout", "rw-msg", "r:11;delay:4:1:3;abort:9:3;ca:5", "a9e7cacf863c20a20c6ccbed6af4a6e6", 6, 16);
+  ]
+
+let test_pinned_streams () =
+  let workloads =
+    [
+      ("escalation", escalation);
+      ("slices", slices);
+      ("mixed", Torture.mixed_slices_workload ());
+      ("random", Torture.random_workload ());
+    ]
+  in
+  let check ?policy (w, scheme, seed, plan, hash, commits, aborts) =
+    let r =
+      Torture.run ?policy ~scheme_name:scheme ~scheme:(List.assoc scheme Torture.schemes)
+        ~workload:(List.assoc w workloads) ~seed ~plan:(Fault.of_string plan) ()
+    in
+    let what = Printf.sprintf "%s/%s seed %d '%s'" w scheme seed plan in
+    Alcotest.(check string) (what ^ " event hash") hash r.Torture.r_event_hash;
+    Alcotest.(check int) (what ^ " commits") commits r.Torture.r_commits;
+    Alcotest.(check int) (what ^ " aborts") aborts r.Torture.r_aborts
+  in
+  List.iter check pinned;
+  List.iter
+    (fun (name, scheme, plan, hash, commits, aborts) ->
+      let policy =
+        match name with
+        | "wound-wait" -> Tavcc_sim.Engine.Wound_wait
+        | "wait-die" -> Tavcc_sim.Engine.Wait_die
+        | "no-wait" -> Tavcc_sim.Engine.No_wait
+        | _ -> Tavcc_sim.Engine.Timeout 25
+      in
+      check ~policy ("escalation", scheme, 3, plan, hash, commits, aborts))
+    pinned_policies
+
 let suite =
   [
     case "fault plans round-trip" test_plan_roundtrip;
@@ -398,6 +502,7 @@ let suite =
     case "codec detects corruption" test_codec_corruption;
     case "torn tail recovers longest valid prefix" test_torn_tail_recovery;
     case "torture replays bit-for-bit" test_torture_deterministic;
+    case "pinned replay digests, counts and aborts" test_pinned_streams;
     case "oracles hold under a chaotic plan" test_torture_oracles_hold;
     case "escalation deadlocks under torture" test_escalation_torture;
     case "all schemes agree on the final state" test_differential_schemes;

@@ -179,49 +179,8 @@ let test_park_and_kill () =
 
 (* --- the engine: serializability and exact sums --- *)
 
-let slice_field m =
-  (* u<i> writes s<i> and nothing else. *)
-  let s = MN.to_string m in
-  FN.of_string ("s" ^ String.sub s 1 (String.length s - 1))
-
-(* Expected final value of every (instance, field) slot: the initial
-   value plus [work] * arg for every call, since each call body performs
-   [work] increments of its own slice field. *)
-let expected_sums store ~work jobs =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun (_, actions) ->
-      List.iter
-        (function
-          | Tavcc_cc.Exec.Call (oid, m, [ Value.Vint v ]) ->
-              let key = (oid, slice_field m) in
-              let base =
-                match Hashtbl.find_opt tbl key with
-                | Some x -> x
-                | None -> (
-                    match Store.read store oid (slice_field m) with
-                    | Value.Vint x -> x
-                    | _ -> Alcotest.fail "non-int slice field")
-              in
-              Hashtbl.replace tbl key (base + (work * v))
-          | _ -> Alcotest.fail "unexpected action shape")
-        actions)
-    jobs;
-  tbl
-
-let check_sums store tbl =
-  Hashtbl.iter
-    (fun (oid, f) expect ->
-      match Store.read store oid f with
-      | Value.Vint got ->
-          if got <> expect then
-            Alcotest.failf "%a.%a = %d, expected %d (lost update)" Oid.pp oid FN.pp f got
-              expect
-      | _ -> Alcotest.fail "non-int slice field")
-    tbl
-
-let run_slice ?(policy = Engine.Detect) ?(domains = 4) ?(check = true) ~scheme_of ~seed
-    ~txns () =
+let run_slice ?(policy = Engine.Detect) ?(domains = 4) ?(check = true) ?journal ~scheme_of
+    ~seed ~txns () =
   let work = 4 in
   let schema = Workload.slice_schema ~methods:8 ~work () in
   let an = Tavcc_core.Analysis.compile schema in
@@ -231,10 +190,10 @@ let run_slice ?(policy = Engine.Detect) ?(domains = 4) ?(check = true) ~scheme_o
     Workload.slice_jobs (Rng.create seed) store ~txns ~actions_per_txn:3 ~hot_instances:2
   in
   let config =
-    { Par_engine.default_config with domains; policy; record_history = check; shards = 4 }
+    { Par_engine.default_config with domains; policy; record_history = check; shards = 4; journal }
   in
   (* Snapshot the expectations before the run mutates the store. *)
-  let sums = expected_sums store ~work jobs in
+  let sums = Helpers.expected_sums store ~work jobs in
   let r = Par_engine.run ~config ~scheme:(scheme_of an) ~store ~jobs () in
   (r, store, sums, jobs)
 
@@ -245,7 +204,7 @@ let engine_property scheme_of seed =
   if r.Par_engine.commits <> txns then
     QCheck.Test.fail_reportf "committed %d of %d" r.Par_engine.commits txns;
   if not (Par_engine.serializable r) then QCheck.Test.fail_reportf "not serializable";
-  check_sums store sums;
+  Helpers.check_sums store sums;
   true
 
 let engine_qcheck name scheme_of =
@@ -269,7 +228,7 @@ let test_policies_complete () =
             (Printf.sprintf "%s/%s serializable" (Engine.policy_name policy) name)
             true
             (Par_engine.serializable r);
-          check_sums store sums)
+          Helpers.check_sums store sums)
         [ ("rw-msg", Tavcc_cc.Rw_instance.scheme); ("tav", Tavcc_cc.Tav_modes.scheme) ])
     [ Engine.Detect; Engine.Wound_wait; Engine.Wait_die; Engine.No_wait; Engine.Timeout 20 ]
 
@@ -317,7 +276,152 @@ let test_single_domain_degenerates () =
   Alcotest.(check int) "commits" 20 r.Par_engine.commits;
   Alcotest.(check int) "no aborts" 0 r.Par_engine.aborts;
   Alcotest.(check bool) "serializable" true (Par_engine.serializable r);
-  check_sums store sums
+  Helpers.check_sums store sums
+
+(* --- a journal hook that raises ---------------------------------------
+
+   [j_commit] is where a durable store forces its log, so it is the hook
+   that fails in production (a full disk, an IO error).  The job must
+   fail on its own: its writes undone, its locks released, every other
+   job served.  Each wait is bounded, so an engine that strands the
+   locks fails the test instead of hanging the suite. *)
+
+let within ~seconds what f =
+  let result = Atomic.make None in
+  let d = Domain.spawn (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e))) in
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r ->
+        Domain.join d;
+        (match r with Ok v -> v | Error e -> raise e)
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s did not return within %.0f s" what seconds;
+        Unix.sleepf 0.002;
+        wait ()
+  in
+  wait ()
+
+(* Raises from the first [j_commit] only. *)
+let commit_fails_once () =
+  let fired = Atomic.make false in
+  {
+    Par_engine.j_begin = ignore;
+    j_commit = (fun _ -> if not (Atomic.exchange fired true) then failwith "disk full");
+    j_abort = ignore;
+  }
+
+let disk_full = Printexc.to_string (Failure "disk full")
+
+(* Takes one job's increments back out of the expected sums. *)
+let drop_job sums ~work (_, actions) =
+  List.iter
+    (function
+      | Tavcc_cc.Exec.Call (oid, m, [ Value.Vint v ]) ->
+          let key = (oid, Helpers.slice_field m) in
+          Hashtbl.replace sums key (Hashtbl.find sums key - (work * v))
+      | _ -> Alcotest.fail "unexpected action shape")
+    actions
+
+let test_raising_commit_run () =
+  let r, store, sums, jobs =
+    within ~seconds:30. "Par_engine.run" (fun () ->
+        run_slice ~domains:2 ~journal:(commit_fails_once ()) ~scheme_of:Tavcc_cc.Tav_modes.scheme
+          ~seed:5 ~txns:20 ())
+  in
+  (match r.Par_engine.failed with
+  | [ (id, msg) ] ->
+      Alcotest.(check string) "the exception's text" disk_full msg;
+      drop_job sums ~work:4 (List.find (fun (j, _) -> j = id) jobs)
+  | l -> Alcotest.failf "%d failed jobs, expected 1" (List.length l));
+  Alcotest.(check int) "the others commit" 19 r.Par_engine.commits;
+  Alcotest.(check bool) "serializable" true (Par_engine.serializable r);
+  Helpers.check_sums store sums
+
+let test_raising_commit_service () =
+  let work = 4 in
+  let schema = Workload.slice_schema ~methods:8 ~work () in
+  let an = Tavcc_core.Analysis.compile schema in
+  let store = Store.create schema in
+  Workload.populate store ~per_class:2;
+  let jobs =
+    Workload.slice_jobs (Rng.create 5) store ~txns:20 ~actions_per_txn:3 ~hot_instances:2
+  in
+  let sums = Helpers.expected_sums store ~work jobs in
+  let config =
+    {
+      Par_engine.default_config with
+      domains = 2;
+      shards = 4;
+      journal = Some (commit_fails_once ());
+    }
+  in
+  let s = Par_engine.service_start ~config ~scheme:(Tavcc_cc.Tav_modes.scheme an) ~store () in
+  let mu = Mutex.create () and replies = ref [] in
+  List.iter
+    (fun job ->
+      let k st =
+        Mutex.lock mu;
+        replies := (job, st) :: !replies;
+        Mutex.unlock mu
+      in
+      match Par_engine.submit s ~actions:(snd job) ~k with
+      | Par_engine.Accepted -> ()
+      | Par_engine.Saturated | Par_engine.Closed -> Alcotest.fail "submit refused")
+    jobs;
+  within ~seconds:30. "service_drain" (fun () -> Par_engine.service_drain s);
+  let r = within ~seconds:30. "service_stop" (fun () -> Par_engine.service_stop s) in
+  Alcotest.(check int) "every job replied once" 20 (List.length !replies);
+  let failed =
+    List.filter_map
+      (function
+        | job, Par_engine.Job_failed msg -> Some (job, msg)
+        | _, Par_engine.Job_committed _ -> None)
+      !replies
+  in
+  (match failed with
+  | [ (job, msg) ] ->
+      Alcotest.(check string) "the exception's text" disk_full msg;
+      drop_job sums ~work job
+  | l -> Alcotest.failf "%d failed replies, expected 1" (List.length l));
+  Alcotest.(check int) "listed in failed" 1 (List.length r.Par_engine.failed);
+  Alcotest.(check int) "the others commit" 19 r.Par_engine.commits;
+  Helpers.check_sums store sums
+
+let test_raising_commit_itxn () =
+  let schema = Workload.slice_schema ~methods:2 ~work:1 () in
+  let an = Tavcc_core.Analysis.compile schema in
+  let store = Store.create schema in
+  Workload.populate store ~per_class:1;
+  let oid = List.hd (Store.extent store (Name.Class.of_string "grid")) in
+  let call = Tavcc_cc.Exec.Call (oid, MN.of_string "u0", [ Value.Vint 5 ]) in
+  let config =
+    { Par_engine.default_config with domains = 1; journal = Some (commit_fails_once ()) }
+  in
+  let s = Par_engine.service_start ~config ~scheme:(Tavcc_cc.Rw_instance.scheme an) ~store () in
+  let run_one () =
+    match Par_engine.itxn_begin s with
+    | Error e -> Error e
+    | Ok it -> (
+        match Par_engine.itxn_perform it call with
+        | Error e -> Error e
+        | Ok () -> Par_engine.itxn_commit it)
+  in
+  (match within ~seconds:10. "itxn_commit" run_one with
+  | Error msg -> Alcotest.(check string) "the exception's text" disk_full msg
+  | Ok () -> Alcotest.fail "the failed force committed");
+  let s0 () = Store.read store oid (FN.of_string "s0") in
+  Alcotest.check Helpers.value "its write is undone" (Value.Vint 0) (s0 ());
+  Alcotest.(check int) "the transaction is closed" 0 (Par_engine.service_in_flight s);
+  (* Its lock is gone: the same write commits now. *)
+  (match within ~seconds:10. "a second itxn_commit" run_one with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "second transaction: %s" e);
+  let r = within ~seconds:10. "service_stop" (fun () -> Par_engine.service_stop s) in
+  Alcotest.(check int) "one commit" 1 r.Par_engine.commits;
+  Alcotest.(check int) "one abort" 1 r.Par_engine.aborts;
+  Alcotest.check Helpers.value "one increment" (Value.Vint 5) (s0 ())
 
 let suite =
   [
@@ -338,4 +442,9 @@ let suite =
       test_differential_vs_step_engine;
     Alcotest.test_case "one domain degenerates to sequential" `Quick
       test_single_domain_degenerates;
+    Alcotest.test_case "a raising j_commit fails its job (run)" `Quick test_raising_commit_run;
+    Alcotest.test_case "a raising j_commit fails its job (service)" `Quick
+      test_raising_commit_service;
+    Alcotest.test_case "a raising j_commit fails its job (itxn_commit)" `Quick
+      test_raising_commit_itxn;
   ]

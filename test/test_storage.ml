@@ -520,6 +520,113 @@ let test_matrix_crash_in_close () = matrix_seeds_ok [ 521383 ]
 (* an instance is created and deleted inside a transaction that aborts *)
 let test_matrix_abort_create_delete () = matrix_seeds_ok [ 50631; 540531 ]
 
+(* --- the journal contract, through the disk store, for both engines ---
+
+   A journalled run that aborts must leave on disk the state it leaves in
+   memory: every aborted attempt rolled back in the log as well.  Closing
+   without a checkpoint makes the reopen redo everything from the log. *)
+
+module Workload = Tavcc_sim.Workload
+module Step = Tavcc_sim.Engine
+
+let state store cls =
+  List.map
+    (fun o -> (Oid.to_int o, List.init (Store.field_count store o) (Store.read_idx store o)))
+    (Store.extent store cls)
+
+let reopen_state cfg schema cls =
+  let eng = Engine.create cfg in
+  let s = state (Engine.store eng schema) cls in
+  Engine.close eng;
+  s
+
+(* The transactions whose id is a multiple of 10 die once, after their
+   second write, the way a lock manager's loser does: the run certainly
+   aborts, with writes to roll back. *)
+let dies_once (s : Tavcc_cc.Scheme.t) =
+  {
+    s with
+    Tavcc_cc.Scheme.on_write =
+      (fun ctx o c f ->
+        s.Tavcc_cc.Scheme.on_write ctx o c f;
+        let txn = ctx.Tavcc_cc.Scheme.txn in
+        if
+          txn.Tavcc_txn.Txn.id mod 10 = 0
+          && txn.Tavcc_txn.Txn.restarts = 0
+          && List.length txn.Tavcc_txn.Txn.undo >= 2
+        then raise (Tavcc_par.Shard_table.Aborted Tavcc_par.Shard_table.Died));
+  }
+
+let test_par_journal_recovers () =
+  List.iter
+    (fun (name, mk) ->
+      with_dir ("par_journal_" ^ name) (fun dir ->
+          let work = 4 in
+          let schema = Workload.slice_schema ~methods:8 ~work () in
+          let an = Tavcc_core.Analysis.compile schema in
+          let grid = cn "grid" in
+          let cfg = small_config dir in
+          let eng = Engine.create cfg in
+          let store = Engine.store eng schema in
+          Workload.populate store ~per_class:2;
+          let jobs =
+            Workload.slice_jobs (Rng.create 3) store ~txns:100 ~actions_per_txn:3
+              ~hot_instances:1
+          in
+          (* every job commits in the end: the sum of all increments *)
+          let sums = expected_sums store ~work jobs in
+          let config =
+            {
+              Tavcc_par.Par_engine.default_config with
+              domains = 2;
+              shards = 4;
+              policy = Step.No_wait;
+              journal = Some (Engine.journal eng);
+            }
+          in
+          let r =
+            Tavcc_par.Par_engine.run ~config ~scheme:(dies_once (mk an)) ~store ~jobs ()
+          in
+          Alcotest.(check int) (name ^ ": no failures") 0
+            (List.length r.Tavcc_par.Par_engine.failed);
+          Alcotest.(check int) (name ^ ": all commit") 100 r.Tavcc_par.Par_engine.commits;
+          Alcotest.(check bool) (name ^ ": some attempts aborted") true
+            (r.Tavcc_par.Par_engine.aborts > 0);
+          check_sums store sums;
+          let live = state store grid in
+          Engine.close ~flush:false eng;
+          Alcotest.(check bool) (name ^ ": recovered state = live state") true
+            (reopen_state cfg schema grid = live)))
+    [ ("tav", Tavcc_cc.Tav_modes.scheme); ("rw-msg", Tavcc_cc.Rw_instance.scheme) ]
+
+let test_step_observe_recovers () =
+  with_dir "step_observe" (fun dir ->
+      let levels = 3 in
+      let schema = Workload.chain_schema ~levels in
+      let an = Tavcc_core.Analysis.compile schema in
+      let chain = cn "chain" in
+      let run store hooks =
+        let oid = Store.new_instance store chain in
+        let top = Name.Method.of_string (Printf.sprintf "m%d" levels) in
+        let jobs =
+          List.init 6 (fun i -> (i + 1, [ Tavcc_cc.Exec.Call (oid, top, [ Value.Vint 1 ]) ]))
+        in
+        let config = { Step.default_config with seed = 42; yield_on_access = true; hooks } in
+        Step.run ~config ~scheme:(Tavcc_cc.Rw_instance.scheme an) ~store ~jobs ()
+      in
+      let mem = Store.create schema in
+      let r_mem = run mem Step.no_hooks in
+      let cfg = { (small_config dir) with Engine.self_journal = false } in
+      let eng = Engine.create cfg in
+      let disk = Engine.store eng schema in
+      let r_disk = run disk { Step.no_hooks with Step.hk_observe = Some (Engine.observe eng) } in
+      Alcotest.(check int) "same commits" r_mem.Step.commits r_disk.Step.commits;
+      Alcotest.(check int) "same aborts" r_mem.Step.aborts r_disk.Step.aborts;
+      Alcotest.(check bool) "the run aborted" true (r_disk.Step.aborts > 0);
+      Engine.close ~flush:false eng;
+      Alcotest.(check bool) "recovered state = in-memory run" true
+        (reopen_state cfg schema chain = state mem chain))
+
 let prop_matrix_seeds =
   QCheck.Test.make ~count:6 ~name:"crash matrix: zero violations across seeds" seed_arb
     (fun seed ->
@@ -555,4 +662,8 @@ let suite =
     Alcotest.test_case "crash matrix: aborted create+delete stays gone" `Quick
       test_matrix_abort_create_delete;
     QCheck_alcotest.to_alcotest prop_matrix_seeds;
+    Alcotest.test_case "journal: par engine aborts recover to the live state" `Quick
+      test_par_journal_recovers;
+    Alcotest.test_case "journal: step engine aborts recover to the in-memory run" `Quick
+      test_step_observe_recovers;
   ]
