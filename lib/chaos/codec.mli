@@ -71,6 +71,10 @@ val decode : string -> Tavcc_recovery.Wal.record list
     raising) at a truncated header, a truncated payload, a checksum
     mismatch, or a payload that does not parse back to a record. *)
 
+val decode_from : string -> Tavcc_recovery.Wal.record list * int
+(** {!decode}, with the byte offset where that valid prefix ends: the
+    length a log file with a torn tail is cut back to. *)
+
 val decode_exact : string -> Tavcc_recovery.Wal.record list
 (** Like {!decode} but refuses torn input.
     @raise Invalid_argument unless the whole string is consumed *)

@@ -43,6 +43,48 @@ module Snapshot = struct
   let instances t = List.map (fun (oid, cls, _) -> (oid, cls)) t.images
 end
 
+(* --- the undo rule, shared by the in-memory and the page store --- *)
+
+module Undo = struct
+  let compensation = function
+    | Wal.Update { txn; oid; field; before; _ } ->
+        Some (Wal.Clr { txn; oid; field; after = before })
+    | Wal.Insert { txn; oid; cls; slots } -> Some (Wal.Delete { txn; oid; cls; slots })
+    | Wal.Delete { txn; oid; cls; slots } -> Some (Wal.Insert { txn; oid; cls; slots })
+    | Wal.Begin _ | Wal.Clr _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ -> None
+
+  (* Back from the tail; each transaction's Begin closes its walk, so the
+     cost is what lies between the tail and the oldest of those Begins. *)
+  let changes txns newest_first =
+    let open_ = Hashtbl.create 8 in
+    List.iter (fun x -> Hashtbl.replace open_ x ()) txns;
+    let rec go acc = function
+      | r :: tl when Hashtbl.length open_ > 0 -> (
+          match r with
+          | Wal.Begin x ->
+              Hashtbl.remove open_ x;
+              go acc tl
+          | (Wal.Update { txn; _ } | Wal.Insert { txn; _ } | Wal.Delete { txn; _ })
+            when Hashtbl.mem open_ txn ->
+              go (r :: acc) tl
+          | _ -> go acc tl)
+      | _ -> List.rev acc
+    in
+    go [] newest_first
+
+  let rollback ~log ~apply changes =
+    List.iter (fun r -> Option.iter (fun c -> log c; apply c) (compensation r)) changes
+end
+
+(* A logged change applied to the in-memory store, which holds field
+   images only: inserts and deletes (disk-layer records) pass it by. *)
+let apply store = function
+  | (Wal.Update { oid; field; after; _ } | Wal.Clr { oid; field; after; _ })
+    when Store.exists store oid ->
+      Store.write store oid field after;
+      true
+  | _ -> false
+
 module Manager = struct
   type 'b t = {
     store : 'b Store.t;
@@ -82,18 +124,10 @@ module Manager = struct
 
   let abort t txn =
     require_active t txn;
-    (* Roll back this incarnation's updates, newest first, logging a
-       compensation record for each (so restart can repeat history). *)
-    let rec roll = function
-      | [] -> ()
-      | Wal.Begin x :: _ when x = txn -> ()
-      | Wal.Update { txn = x; oid; field; before; _ } :: tl when x = txn ->
-          ignore (Wal.append t.wal (Wal.Clr { txn; oid; field; after = before }));
-          Store.write t.store oid field before;
-          roll tl
-      | _ :: tl -> roll tl
-    in
-    roll (Wal.newest_first t.wal);
+    Undo.rollback
+      ~log:(fun c -> ignore (Wal.append t.wal c))
+      ~apply:(fun c -> ignore (apply t.store c))
+      (Undo.changes [ txn ] (Wal.newest_first t.wal));
     ignore (Wal.append t.wal (Wal.Abort txn));
     t.active <- List.filter (( <> ) txn) t.active
 
@@ -139,31 +173,13 @@ module Restart = struct
     Snapshot.restore store snapshot;
     (* Repeating history: redo every update and compensation, winners and
        losers alike. *)
-    let redone = ref 0 in
-    List.iter
-      (function
-        | Wal.Update { oid; field; after; _ } | Wal.Clr { oid; field; after; _ } ->
-            if Store.exists store oid then begin
-              Store.write store oid field after;
-              incr redone
-            end
-        | _ -> ())
-      log;
-    (* Undo pass: the losers' live incarnations, backwards, stopping at
-       each loser's Begin.  CLRs are redo-only and skipped. *)
-    let open_ = Hashtbl.create 8 in
-    List.iter (fun t -> Hashtbl.replace open_ t ()) (losers log);
-    let undone = ref 0 in
-    List.iter
-      (function
-        | Wal.Begin x when Hashtbl.mem open_ x -> Hashtbl.remove open_ x
-        | Wal.Update { txn; oid; field; before; _ } when Hashtbl.mem open_ txn ->
-            if Store.exists store oid then begin
-              Store.write store oid field before;
-              incr undone
-            end
-        | _ -> ())
-      (List.rev log);
+    let redone = ref 0 and undone = ref 0 in
+    List.iter (fun r -> if apply store r then incr redone) log;
+    (* Undo the losers' live incarnations; this pass has no log to write
+       its compensations to. *)
+    Undo.rollback ~log:ignore
+      ~apply:(fun c -> if apply store c then incr undone)
+      (Undo.changes (losers log) (List.rev log));
     bump "wal.replayed" (List.length log);
     bump "wal.redo_applied" !redone;
     bump "wal.undo_applied" !undone

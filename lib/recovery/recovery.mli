@@ -42,6 +42,45 @@ module Snapshot : sig
   val instances : t -> (Oid.t * Name.Class.t) list
 end
 
+(** The undo rule, written once for both stores: this module's
+    {!Manager} and {!Restart} over the in-memory store, and the page
+    store's abort and restart undo ([Tavcc_storage.Engine]).
+
+    Undo needs only the before-images the log already carries — the
+    projections access vectors make — never a programmer-written
+    inverse.  It has two parts: the compensation of one logged change,
+    and the walk back that finds the changes to compensate.  A store
+    supplies how a record is logged and applied; a rollback logs each
+    compensation before applying it. *)
+module Undo : sig
+  val compensation : Wal.record -> Wal.record option
+  (** [Update] becomes a [Clr] carrying the before-image, [Insert] a
+      [Delete], [Delete] an [Insert] (both with the full image).  Every
+      other record — [Clr] included — has none: a CLR is redo-only. *)
+
+  val changes : int list -> Wal.record list -> Wal.record list
+  (** [changes txns newest_first]: the forward changes ([Update],
+      [Insert], [Delete]) of these transactions' live incarnations,
+      newest first.  The walk goes back from the tail and stops at each
+      transaction's latest [Begin]; earlier incarnations ended in the
+      log.  Restart passes the losers and the whole log reversed; an
+      abort passes one transaction.
+
+      A rollback's CLRs are never collected.  Its compensating [Insert]
+      and [Delete] look like forward changes, so when a crash cuts a
+      rollback short, restart compensates them again; each such pair
+      cancels, since each record carries the other's image, and
+      compensating strictly newest first keeps every before-image
+      right.  A rollback that completes is sealed by its [Abort], and
+      restart walks it no more. *)
+
+  val rollback :
+    log:(Wal.record -> unit) -> apply:(Wal.record -> unit) -> Wal.record list -> unit
+  (** [rollback ~log ~apply changes] compensates [changes] in the order
+      given (newest first): each compensation is [log]ged, then
+      [apply]ed. *)
+end
+
 (** The logging transaction manager: every write goes through here so
     the WAL sees it before the store does. *)
 module Manager : sig
@@ -65,8 +104,8 @@ module Manager : sig
       is durable exactly when its commit record is stable). *)
 
   val abort : 'b t -> int -> unit
-  (** Rolls back through the log's before-images, appends [Abort], does
-      not force. *)
+  (** Rolls the live incarnation back by {!Undo}, logging a CLR for each
+      update, appends [Abort], does not force. *)
 
   val checkpoint : 'b t -> Snapshot.t
   (** Takes a snapshot and logs a [Checkpoint] record.  Only safe (and
@@ -89,7 +128,8 @@ module Restart : sig
     ?metrics:Tavcc_obs.Metrics.t -> 'b Store.t -> Snapshot.t -> Wal.record list -> unit
   (** [recover store snapshot log] rebuilds [store] to the state every
       stably-committed transaction produced: restore the snapshot, redo
-      all updates in log order, undo losers backwards.  Idempotent.
+      all updates in log order, undo the losers' live incarnations by
+      {!Undo} (the compensations are applied, not logged).  Idempotent.
 
       With [metrics], the pass sizes go to counters: [wal.replayed]
       (records scanned), [wal.redo_applied] and [wal.undo_applied]

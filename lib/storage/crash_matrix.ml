@@ -288,48 +288,54 @@ let recover_and_check cfg st =
 
 (* --- fault-plan hooks over the engine's IO points --- *)
 
+(* The ordinals plans name: every write, WAL forces, page writes, and
+   writes inside a checkpoint, counted across every checkpoint of the
+   run. *)
+type io_count = {
+  mutable writes : int;
+  mutable wal_n : int;
+  mutable page_n : int;
+  mutable ck_n : int;
+  mutable in_ck : bool;
+}
+
+let io_count () = { writes = 0; wal_n = 0; page_n = 0; ck_n = 0; in_ck = false }
+
+(* Counts [pt]; true when it is a write rather than a checkpoint marker. *)
+let count io (pt : Engine.io_point) =
+  (match pt with
+  | Engine.Ckpt_begin -> io.in_ck <- true
+  | Engine.Ckpt_end -> io.in_ck <- false
+  | Engine.Wal_write _ -> io.wal_n <- io.wal_n + 1
+  | Engine.Page_write _ -> io.page_n <- io.page_n + 1
+  | Engine.Dblwr_write _ | Engine.Meta_write -> ());
+  match pt with
+  | Engine.Ckpt_begin | Engine.Ckpt_end -> false
+  | Engine.Wal_write _ | Engine.Page_write _ | Engine.Dblwr_write _ | Engine.Meta_write ->
+      io.writes <- io.writes + 1;
+      if io.in_ck then io.ck_n <- io.ck_n + 1;
+      true
+
 let hook_of_plan (plan : Fault.plan) =
-  let wal_n = ref 0 and page_n = ref 0 in
-  let in_ck = ref false and ck_io = ref 0 and ck_done = ref false in
+  let io = io_count () in
   fun (pt : Engine.io_point) ->
-    (match pt with
-    | Engine.Ckpt_begin ->
-        if not !ck_done then begin
-          in_ck := true;
-          ck_io := 0
-        end
-    | Engine.Ckpt_end -> ()
-    | Engine.Wal_write _ -> incr wal_n
-    | Engine.Page_write _ -> incr page_n
-    | Engine.Dblwr_write _ | Engine.Meta_write -> ());
-    if !in_ck then begin
-      match pt with Engine.Ckpt_begin | Engine.Ckpt_end -> () | _ -> incr ck_io
-    end;
+    let ck_write = count io pt && io.in_ck in
     let action = ref Engine.Proceed in
     List.iter
       (fun (inj : Fault.injection) ->
         match (inj, pt) with
-        | Fault.Crash_at_flush n, Engine.Wal_write _ when !wal_n = n ->
+        | Fault.Crash_at_flush n, Engine.Wal_write _ when io.wal_n = n ->
             raise (Engine.Crashed "cf")
-        | Fault.Torn_flush { nth; keep }, Engine.Wal_write _ when !wal_n = nth ->
+        | Fault.Torn_flush { nth; keep }, Engine.Wal_write _ when io.wal_n = nth ->
             action := Engine.Torn keep
-        | Fault.Crash_at_page_write n, Engine.Page_write _ when !page_n = n ->
+        | Fault.Crash_at_page_write n, Engine.Page_write _ when io.page_n = n ->
             raise (Engine.Crashed "cpw")
-        | Fault.Torn_page { nth; keep }, Engine.Page_write _ when !page_n = nth ->
+        | Fault.Torn_page { nth; keep }, Engine.Page_write _ when io.page_n = nth ->
             action := Engine.Torn keep
-        | Fault.Crash_in_checkpoint n, _ when !in_ck && !ck_io = n ->
+        | Fault.Crash_in_checkpoint n, _ when ck_write && io.ck_n = n ->
             raise (Engine.Crashed "cck")
-        | Fault.Crash_in_checkpoint _, Engine.Ckpt_end when !in_ck ->
-            raise (Engine.Crashed "cck-end")
         | _ -> ())
       plan.Fault.injections;
-    (match pt with
-    | Engine.Ckpt_end ->
-        if !in_ck then begin
-          in_ck := false;
-          ck_done := true
-        end
-    | _ -> ());
     !action
 
 (* one full driver run under a plan; on a crash, recover from the
@@ -374,25 +380,25 @@ let sample_points total n =
     List.sort_uniq Int.compare
       (List.init (min n total) (fun i -> 1 + (i * total / min n total)))
 
-let plans_of cfg ~wal_writes ~page_writes =
+let plans_of cfg (io : io_count) =
   let sched = Fault.none.Fault.schedule in
   let mk inj = { Fault.injections = [ inj ]; schedule = sched } in
   let plans = ref [] in
   let add p = plans := p :: !plans in
-  List.iter (fun n -> add (mk (Fault.Crash_at_flush n))) (sample_points wal_writes 8);
+  List.iter (fun n -> add (mk (Fault.Crash_at_flush n))) (sample_points io.wal_n 8);
   List.iter
     (fun n ->
       add (mk (Fault.Torn_flush { nth = n; keep = 1 }));
       add (mk (Fault.Torn_flush { nth = n; keep = 9 })))
-    (sample_points wal_writes 4);
-  List.iter (fun n -> add (mk (Fault.Crash_at_page_write n))) (sample_points page_writes 8);
+    (sample_points io.wal_n 4);
+  List.iter (fun n -> add (mk (Fault.Crash_at_page_write n))) (sample_points io.page_n 8);
   List.iter
     (fun n ->
       add (mk (Fault.Torn_page { nth = n; keep = 0 }));
       add (mk (Fault.Torn_page { nth = n; keep = 60 }));
       add (mk (Fault.Torn_page { nth = n; keep = cfg.page_size - 3 })))
-    (sample_points page_writes 4);
-  List.iter (fun n -> add (mk (Fault.Crash_in_checkpoint n))) [ 1; 2; 3; 5 ];
+    (sample_points io.page_n 4);
+  List.iter (fun n -> add (mk (Fault.Crash_in_checkpoint n))) (sample_points io.ck_n 6);
   let all = List.rev !plans in
   if List.length all <= cfg.max_plans then all
   else List.filteri (fun i _ -> i < cfg.max_plans) all
@@ -427,29 +433,18 @@ let run cfg =
   let main_dir = Filename.concat cfg.base_dir "main" in
   rm_rf main_dir;
   let tally = fresh_tally () in
-  let wal_writes = ref 0 and page_writes = ref 0 in
-  let counting_hook pt =
-    (match pt with
-    | Engine.Wal_write _ -> incr wal_writes
-    | Engine.Page_write _ -> incr page_writes
-    | _ -> ());
+  (* the state sweep: the three files just before every write, so each
+     state is one write on from the one before *)
+  let io = io_count () and states = ref [] in
+  let sweep_hook pt =
+    if count io pt then
+      states :=
+        capture main_dir tally.t_acked (Printf.sprintf "before-write:%d" io.writes) :: !states;
     Engine.Proceed
   in
-  let eng = Engine.create (engine_config cfg ~dir:main_dir ~io_hook:(Some counting_hook)) in
-  let states = ref [] and nstates = ref 0 in
-  Wal.set_observer (Engine.wal eng)
-    (Some
-       (fun ev ->
-         let label =
-           match ev with
-           | Wal.Appended (_, lsn) -> Printf.sprintf "append:%d" lsn
-           | Wal.Flushed lsn -> Printf.sprintf "flush:%d" lsn
-         in
-         incr nstates;
-         states := capture main_dir tally.t_acked label :: !states));
+  let eng = Engine.create (engine_config cfg ~dir:main_dir ~io_hook:(Some sweep_hook)) in
   drive cfg eng tally;
-  Wal.set_observer (Engine.wal eng) None;
-  let wal_records = Wal.length (Engine.wal eng) in
+  let wal_records = (Engine.stats eng).Engine.s_wal_records in
   Engine.close eng;
   (* the final, cleanly-closed image must recover to itself too *)
   let final_state = capture main_dir tally.t_acked "final" in
@@ -468,7 +463,7 @@ let run cfg =
       List.iter (fun m -> violations := ("state-sweep", m) :: !violations) v)
     picked;
   (* injected fault plans, each run twice for the bit-for-bit check *)
-  let plans = plans_of cfg ~wal_writes:!wal_writes ~page_writes:!page_writes in
+  let plans = plans_of cfg io in
   let replay_consistent = ref true in
   let fired = ref 0 in
   List.iter

@@ -5,13 +5,16 @@
     variable-length updates, deletes, aborts, fuzzy checkpoints) through
     a deliberately tiny buffer pool, then checks recovery three ways:
 
-    - {b state sweep}: a {!Tavcc_recovery.Wal} observer snapshots the
-      three on-disk files at {e every} append and flush boundary; each
-      snapshot is recovered in a scratch directory and compared against
-      the committed-prefix oracle (plus the final cleanly-closed image);
+    - {b state sweep}: the engine's [io_hook] snapshots the three
+      on-disk files just before {e every} write — WAL force,
+      double-write append, page write, meta write — so each state is
+      exactly one write on from the one before; each snapshot is
+      recovered in a scratch directory and compared against the
+      committed-prefix oracle (plus the final cleanly-closed image);
     - {b injected plans}: a sweep of {!Tavcc_chaos.Fault} disk-layer
       injections — [cf:n]/[torn:n:k] on WAL forces, [cpw:n]/[tpg:n:k] on
-      page write-backs, [cck:n] inside a fuzzy checkpoint — each of
+      page write-backs, [cck:n] on the [n]th write inside a fuzzy
+      checkpoint, counted across every checkpoint of the run — each of
       which kills the engine mid-IO via its [io_hook]; the surviving
       files are recovered and checked;
     - {b bit-for-bit replay}: every (seed, plan) pair runs twice and the
@@ -70,5 +73,8 @@ val run_plan : config -> Tavcc_chaos.Fault.plan -> string list * string * bool
     plan string via {!Tavcc_chaos.Fault.of_string}. *)
 
 val hook_of_plan : Tavcc_chaos.Fault.plan -> Engine.io_point -> Engine.io_action
-(** The engine [io_hook] implementing the plan's disk-layer injections
-    (WAL/page ordinals, checkpoint-interior IO counting). *)
+(** The engine [io_hook] implementing the plan's disk-layer injections:
+    WAL-force and page-write ordinals, and checkpoint-interior writes
+    counted across all checkpoints, so [cck:n] past the first
+    checkpoint's writes lands in a later one (and never fires past the
+    last). *)

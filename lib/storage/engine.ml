@@ -48,6 +48,8 @@ type obs = {
   c_ckpts : Tavcc_obs.Metrics.counter;
   c_cache_hits : Tavcc_obs.Metrics.counter;
   c_cache_misses : Tavcc_obs.Metrics.counter;
+  c_wal_appends : Tavcc_obs.Metrics.counter;
+  c_wal_flushes : Tavcc_obs.Metrics.counter;
 }
 
 type t = {
@@ -56,8 +58,8 @@ type t = {
   data_fd : Unix.file_descr;
   wal_fd : Unix.file_descr;
   dblwr_fd : Unix.file_descr;
-  wal : Wal.t;
   mutable pending : string list; (* encoded, newest first, not yet on disk *)
+  mutable records : int; (* in the log, the pending tail included *)
   mutable wal_bytes : int;
   mutable dblwr_bytes : int;
   dblwr_buf : Bytes.t; (* the one double-write entry under construction *)
@@ -71,7 +73,7 @@ type t = {
   cache : (int, Value.t array) Hashtbl.t;
   cache_ring : int array; (* eviction ring over cached oids; -1 = free *)
   mutable cache_cur : int;
-  active : (int, unit) Hashtbl.t;
+  active : (int, Wal.record list ref) Hashtbl.t; (* each one's changes, newest first *)
   ambient : (int * int, int) Hashtbl.t;
   obs : obs option;
   mutable hooks_on : bool;
@@ -127,9 +129,15 @@ let hooked_write t pt fd off b =
 (* --- WAL --- *)
 
 let log t r =
-  let lsn = Wal.append t.wal r in
   t.pending <- Codec.encode_record r :: t.pending;
-  lsn
+  t.records <- t.records + 1;
+  bump t (fun o -> o.c_wal_appends)
+
+(* A forward change also joins its transaction's undo list while the
+   transaction is active (autocommit work, under txn 0, never is). *)
+let log_change t txn r =
+  log t r;
+  match Hashtbl.find_opt t.active txn with Some l -> l := r :: !l | None -> ()
 
 let wal_flush t =
   if t.pending <> [] then begin
@@ -140,7 +148,7 @@ let wal_flush t =
     t.pending <- [];
     maybe_fsync t t.wal_fd;
     bumpn t (fun o -> o.c_wal_bytes) (String.length payload);
-    Wal.flush t.wal
+    bump t (fun o -> o.c_wal_flushes)
   end
 
 (* --- double-write buffer --- *)
@@ -239,7 +247,7 @@ let cache_put t oid values =
   end;
   Hashtbl.replace t.cache oid values
 
-let stamp t page = Page.set_lsn page (Wal.length t.wal)
+let stamp t page = Page.set_lsn page t.records
 
 let free_update t pid page = Hashtbl.replace t.free pid (Page.insert_capacity page)
 
@@ -376,6 +384,29 @@ let apply_update_by_name t oid field v =
   Array.iteri (fun i (f, _) -> if f = field && !idx < 0 then idx := i) r.Page.Rec.r_slots;
   if !idx >= 0 then apply_update t oid !idx v
 
+(* The one way a logged change reaches the pages: redo, rollback and
+   restart undo all come through here.  A change goes by oid, whatever
+   page holds the record, so applying it twice leaves what applying it
+   once does.  [lost] rebuilds the image of an updated record that is on
+   no page at all; only redo meets one. *)
+let apply ?(lost = fun _ -> None) t r =
+  match r with
+  | Wal.Insert { oid; cls; slots; _ } ->
+      let o = Oid.to_int oid in
+      if o >= t.next_oid then t.next_oid <- o + 1;
+      if Hashtbl.mem t.dir_tbl o then apply_delete t o;
+      apply_insert t ~oid:o ~cls:(CN.to_string cls)
+        ~slots:(Array.of_list (List.map (fun (f, v) -> (FN.to_string f, v)) slots))
+  | Wal.Delete { oid; _ } ->
+      let o = Oid.to_int oid in
+      if Hashtbl.mem t.dir_tbl o then apply_delete t o
+  | Wal.Update { oid; field; after; _ } | Wal.Clr { oid; field; after; _ } -> (
+      let o = Oid.to_int oid in
+      if Hashtbl.mem t.dir_tbl o then apply_update_by_name t o (FN.to_string field) after
+      else
+        match lost o with Some (cls, slots) -> apply_insert t ~oid:o ~cls ~slots | None -> ())
+  | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ -> ()
+
 (* --- ambient transaction (per domain x thread) --- *)
 
 let ambient_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
@@ -414,40 +445,26 @@ let meta_read ~page_size fd =
 
 (* --- transactions --- *)
 
-let rollback_locked t txn =
-  (* Manager-style: walk this transaction's live incarnation backwards,
-     compensating each logged change.  Updates get CLRs; an insert is
-     compensated by a logged Delete, a delete by a logged Insert — both
-     replay correctly on the redo pass and are discarded with the
-     transaction by the committed-prefix oracle. *)
-  let rec roll = function
-    | [] -> ()
-    | r :: tl -> (
-        match r with
-        | Wal.Begin x when x = txn -> ()
-        | Wal.Update { txn = x; oid; field; before; _ } when x = txn ->
-            ignore (log t (Wal.Clr { txn; oid; field; after = before }));
-            let o = Oid.to_int oid in
-            if Hashtbl.mem t.dir_tbl o then
-              apply_update_by_name t o (FN.to_string field) before;
-            roll tl
-        | Wal.Insert { txn = x; oid; cls; slots } when x = txn ->
-            ignore (log t (Wal.Delete { txn; oid; cls; slots }));
-            let o = Oid.to_int oid in
-            if Hashtbl.mem t.dir_tbl o then apply_delete t o;
-            roll tl
-        | Wal.Delete { txn = x; oid; cls; slots } when x = txn ->
-            ignore (log t (Wal.Insert { txn; oid; cls; slots }));
-            let o = Oid.to_int oid in
-            if not (Hashtbl.mem t.dir_tbl o) then
-              apply_insert t ~oid:o ~cls:(CN.to_string cls)
-                ~slots:
-                  (Array.of_list
-                     (List.map (fun (f, v) -> (FN.to_string f, v)) slots));
-            roll tl
-        | _ -> roll tl)
-  in
-  roll (Wal.newest_first t.wal)
+(* Compensates the transaction's own changes, newest first, logging each
+   compensation before applying it; then logs [Abort].  The changes stay
+   listed until then, so an abort that fails part-way can be retried. *)
+let abort_locked t txn =
+  (match Hashtbl.find_opt t.active txn with
+  | Some changes -> Recovery.Undo.rollback ~log:(log t) ~apply:(apply t) !changes
+  | None -> ());
+  log t (Wal.Abort txn);
+  Hashtbl.remove t.active txn
+
+(* A transaction's changes go only once its commit record is stable: a
+   failed force leaves them for the abort that follows. *)
+let commit_locked t txn =
+  log t (Wal.Commit txn);
+  wal_flush t;
+  Hashtbl.remove t.active txn
+
+let begin_locked t txn =
+  log t (Wal.Begin txn);
+  Hashtbl.replace t.active txn (ref [])
 
 let locked t f =
   Mutex.lock t.mu;
@@ -461,22 +478,17 @@ let locked t f =
 
 let begin_txn t txn =
   locked t (fun () ->
-      ignore (log t (Wal.Begin txn));
-      Hashtbl.replace t.active txn ();
+      begin_locked t txn;
       Hashtbl.replace t.ambient (ambient_key ()) txn)
 
 let commit t txn =
   locked t (fun () ->
-      ignore (log t (Wal.Commit txn));
-      wal_flush t;
-      Hashtbl.remove t.active txn;
+      commit_locked t txn;
       Hashtbl.remove t.ambient (ambient_key ()))
 
 let abort t txn =
   locked t (fun () ->
-      rollback_locked t txn;
-      ignore (log t (Wal.Abort txn));
-      Hashtbl.remove t.active txn;
+      abort_locked t txn;
       Hashtbl.remove t.ambient (ambient_key ()))
 
 let checkpoint t =
@@ -484,8 +496,9 @@ let checkpoint t =
       ignore (hook t Ckpt_begin);
       Buffer_pool.flush_all t.pool;
       wal_flush t;
-      let activ = List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) t.active []) in
-      let lsn = log t (Wal.Checkpoint activ) in
+      let activ = List.sort Int.compare (Hashtbl.fold (fun k _ l -> k :: l) t.active []) in
+      let lsn = t.records in
+      log t (Wal.Checkpoint activ);
       wal_flush t;
       t.ckpt_lsn <- lsn;
       (* every page the log up to here touches is clean on disk: the
@@ -507,10 +520,10 @@ let ext t =
         locked t (fun () ->
             let oid = t.next_oid in
             t.next_oid <- oid + 1;
-            let slots_l = Array.to_list slots in
-            ignore (log t (Wal.Insert { txn = ambient t; oid = Oid.of_int oid; cls; slots = slots_l }));
-            apply_insert t ~oid ~cls:(CN.to_string cls)
-              ~slots:(Array.map (fun (f, v) -> (FN.to_string f, v)) slots);
+            let txn = ambient t in
+            let r = Wal.Insert { txn; oid = Oid.of_int oid; cls; slots = Array.to_list slots } in
+            log_change t txn r;
+            apply t r;
             Oid.of_int oid));
     x_delete =
       (fun oid ->
@@ -522,8 +535,10 @@ let ext t =
               Array.to_list
                 (Array.map (fun (f, v) -> (FN.of_string f, v)) r.Page.Rec.r_slots)
             in
-            ignore (log t (Wal.Delete { txn = ambient t; oid; cls; slots }));
-            apply_delete t o));
+            let txn = ambient t in
+            let r = Wal.Delete { txn; oid; cls; slots } in
+            log_change t txn r;
+            apply t r));
     x_exists = (fun oid -> locked t (fun () -> Hashtbl.mem t.dir_tbl (Oid.to_int oid)));
     x_class_of =
       (fun oid ->
@@ -537,8 +552,8 @@ let ext t =
         locked t (fun () ->
             let o = Oid.to_int oid in
             if t.cfg.self_journal then begin
-              let before = (read_values t o).(i) in
-              ignore (log t (Wal.Update { txn = ambient t; oid; field; before; after = v }))
+              let before = (read_values t o).(i) and txn = ambient t in
+              log_change t txn (Wal.Update { txn; oid; field; before; after = v })
             end
             else ignore (find_rid t o);
             apply_update t o i v));
@@ -559,23 +574,12 @@ let store t schema = Store.create_ext schema (ext t)
 
 let observe t (a : Tavcc_sim.Engine.access) =
   match a with
-  | Tavcc_sim.Engine.Ob_begin txn ->
-      locked t (fun () ->
-          ignore (log t (Wal.Begin txn));
-          Hashtbl.replace t.active txn ())
+  | Tavcc_sim.Engine.Ob_begin txn -> locked t (fun () -> begin_locked t txn)
   | Tavcc_sim.Engine.Ob_read _ -> ()
   | Tavcc_sim.Engine.Ob_write { txn; oid; field; before; after } ->
-      locked t (fun () -> ignore (log t (Wal.Update { txn; oid; field; before; after })))
-  | Tavcc_sim.Engine.Ob_commit txn ->
-      locked t (fun () ->
-          ignore (log t (Wal.Commit txn));
-          wal_flush t;
-          Hashtbl.remove t.active txn)
-  | Tavcc_sim.Engine.Ob_abort txn ->
-      locked t (fun () ->
-          rollback_locked t txn;
-          ignore (log t (Wal.Abort txn));
-          Hashtbl.remove t.active txn)
+      locked t (fun () -> log_change t txn (Wal.Update { txn; oid; field; before; after }))
+  | Tavcc_sim.Engine.Ob_commit txn -> locked t (fun () -> commit_locked t txn)
+  | Tavcc_sim.Engine.Ob_abort txn -> locked t (fun () -> abort_locked t txn)
 
 (* --- durability hooks for the parallel engine --- *)
 
@@ -587,8 +591,6 @@ let journal t =
   }
 
 (* --- open / recovery --- *)
-
-let losers = Recovery.Restart.losers
 
 (* Rebuild an oid's full image from the log's complete history (the WAL
    file is never truncated, so position 0 is the store's birth).  Every
@@ -627,20 +629,15 @@ let recover_locked t =
   t.in_recovery <- true;
   let ps = t.cfg.page_size in
   (* 1. the stable log: longest valid prefix; drop any torn tail *)
-  let raw = read_whole t.wal_fd in
-  let records = Codec.decode raw in
-  (* encoding is canonical, so re-encoding measures exactly the bytes the
-     valid prefix occupies; anything past it is a torn tail to drop *)
-  let consumed = String.length (Codec.encode records) in
+  let records, consumed = Codec.decode_from (read_whole t.wal_fd) in
   Unix.ftruncate t.wal_fd consumed;
   t.wal_bytes <- consumed;
-  List.iter (fun r -> ignore (Wal.append t.wal r)) records;
-  Wal.flush t.wal;
+  t.records <- List.length records;
   (* 2. meta (torn-tolerant: fall back to full-log redo) *)
   let ckpt0, noid0, npid0 =
     match meta_read ~page_size:ps t.data_fd with Some m -> m | None -> (0, 0, 1)
   in
-  t.ckpt_lsn <- min ckpt0 (List.length records);
+  t.ckpt_lsn <- min ckpt0 t.records;
   t.next_oid <- noid0;
   (* 3. double-write repairs for torn pages *)
   let repairs = dblwr_decode (read_whole t.dblwr_fd) in
@@ -719,56 +716,17 @@ let recover_locked t =
   Hashtbl.iter
     (fun oid rid -> extent_add t rid.r_cls oid)
     (Hashtbl.copy t.dir_tbl);
-  (* 4. redo from the checkpoint: repeating history, logically by oid *)
+  (* 4. redo from the checkpoint: repeating history, logically by oid.  A
+     record on no page at all was lost in a half-durable migration: its
+     image as of this record is rebuilt from the full log. *)
   List.iteri
-    (fun i r ->
-      if i >= t.ckpt_lsn then
-        match r with
-        | Wal.Insert { oid; cls; slots; _ } ->
-            let o = Oid.to_int oid in
-            if o >= t.next_oid then t.next_oid <- o + 1;
-            if Hashtbl.mem t.dir_tbl o then apply_delete t o;
-            apply_insert t ~oid:o ~cls:(CN.to_string cls)
-              ~slots:
-                (Array.of_list (List.map (fun (f, v) -> (FN.to_string f, v)) slots))
-        | Wal.Delete { oid; _ } ->
-            let o = Oid.to_int oid in
-            if Hashtbl.mem t.dir_tbl o then apply_delete t o
-        | Wal.Update { oid; field; after; _ } | Wal.Clr { oid; field; after; _ } -> (
-            let o = Oid.to_int oid in
-            if Hashtbl.mem t.dir_tbl o then
-              apply_update_by_name t o (FN.to_string field) after
-            else
-              (* on no page at all (lost in a half-durable migration):
-                 rebuild its image as of this record from the full log *)
-              match reconstruct records (i + 1) o with
-              | Some (cls, slots) -> apply_insert t ~oid:o ~cls ~slots
-              | None -> ())
-        | Wal.Begin _ | Wal.Commit _ | Wal.Abort _ | Wal.Checkpoint _ -> ())
+    (fun i r -> if i >= t.ckpt_lsn then apply t ~lost:(reconstruct records (i + 1)) r)
     records;
-  (* 5. undo the losers, newest first, stopping at each Begin *)
-  let open_ = Hashtbl.create 8 in
-  List.iter (fun x -> Hashtbl.replace open_ x ()) (losers records);
-  List.iter
-    (fun r ->
-      match r with
-      | Wal.Begin x when Hashtbl.mem open_ x -> Hashtbl.remove open_ x
-      | Wal.Update { txn; oid; field; before; _ } when Hashtbl.mem open_ txn ->
-          let o = Oid.to_int oid in
-          if Hashtbl.mem t.dir_tbl o then
-            apply_update_by_name t o (FN.to_string field) before
-      | Wal.Insert { txn; oid; _ } when Hashtbl.mem open_ txn ->
-          let o = Oid.to_int oid in
-          if Hashtbl.mem t.dir_tbl o then apply_delete t o
-      | Wal.Delete { txn; oid; cls; slots } when Hashtbl.mem open_ txn ->
-          let o = Oid.to_int oid in
-          if not (Hashtbl.mem t.dir_tbl o) then
-            apply_insert t ~oid:o ~cls:(CN.to_string cls)
-              ~slots:
-                (Array.of_list (List.map (fun (f, v) -> (FN.to_string f, v)) slots))
-      | _ -> ())
-    (List.rev records);
-  List.iter (fun x -> ignore (log t (Wal.Abort x))) (losers records);
+  (* 5. undo the losers, logging each compensation, then their Aborts *)
+  let losers = Recovery.Restart.losers records in
+  Recovery.Undo.rollback ~log:(log t) ~apply:(apply t)
+    (Recovery.Undo.changes losers (List.rev records));
+  List.iter (fun x -> log t (Wal.Abort x)) losers;
   t.in_recovery <- false
 
 let mkdir_p dir =
@@ -798,6 +756,8 @@ let create cfg =
           c_ckpts = c "storage.checkpoints";
           c_cache_hits = c "storage.cache_hits";
           c_cache_misses = c "storage.cache_misses";
+          c_wal_appends = c "wal.appends";
+          c_wal_flushes = c "wal.flushes";
         })
       cfg.metrics
   in
@@ -808,8 +768,8 @@ let create cfg =
       data_fd = openf "data.pages";
       wal_fd = openf "wal.log";
       dblwr_fd = openf "dblwr.log";
-      wal = Wal.create ?metrics:cfg.metrics ();
       pending = [];
+      records = 0;
       wal_bytes = 0;
       dblwr_bytes = 0;
       dblwr_buf = Bytes.create (24 + cfg.page_size);
@@ -862,8 +822,6 @@ let abandon t =
   (try Unix.close t.wal_fd with Unix.Unix_error _ -> ());
   (try Unix.close t.dblwr_fd with Unix.Unix_error _ -> ())
 
-let wal t = t.wal
-
 let dump t =
   locked t (fun () ->
       Hashtbl.fold (fun oid _ l -> oid :: l) t.dir_tbl []
@@ -889,7 +847,7 @@ let stats t =
         s_data_pages = t.next_pid - 1;
         s_pool_pages = Buffer_pool.capacity t.pool;
         s_pool = Buffer_pool.stats t.pool;
-        s_wal_records = Wal.length t.wal;
+        s_wal_records = t.records;
         s_wal_bytes = t.wal_bytes;
         s_cache_entries = Hashtbl.length t.cache;
       })

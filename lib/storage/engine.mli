@@ -7,8 +7,10 @@
       oid/page high-water marks); pages 1.. are {!Page} slotted pages of
       serialized instances;
     - [wal.log] — {!Tavcc_chaos.Codec}-framed {!Tavcc_recovery.Wal}
-      records.  The in-memory [Wal.t] mirrors it record-for-record, so
-      chaos observers and the TAV sanitizer work unchanged;
+      records.  Memory holds only the unwritten tail, a count of the
+      records, and each active transaction's own changes (its undo
+      list), so what the log costs in memory is bounded by in-flight
+      work, not by history;
     - [dblwr.log] — a double-write buffer: every page image lands here
       (checksummed) before its in-place write, so a torn page write is
       repaired at recovery.  Truncated at each checkpoint.
@@ -23,15 +25,16 @@
     - {b repeating history}: {!create} recovers by redoing every stable
       record from the checkpoint LSN (logically, by oid — physical
       placement may differ run to run) and then undoing losers
-      backwards, compensating updates with CLRs, inserts with deletes
-      and deletes with re-inserts.
+      backwards by {!Tavcc_recovery.Recovery.Undo}: updates are
+      compensated with CLRs, inserts with deletes and deletes with
+      re-inserts, each compensation logged before it is applied, then
+      each loser's [Abort] is logged.  {!abort} uses the same rule.
 
     All public operations are serialised by an internal mutex; the
     engine is shared safely by the parallel engine's domains and the
     network front-end's session threads. *)
 
 open Tavcc_model
-open Tavcc_recovery
 
 exception Crashed of string
 (** Raised by an {!io_hook} that kills the engine mid-IO.  The engine
@@ -69,6 +72,9 @@ type config = {
           self-logged. *)
   sync : sync;  (** [Fsync] pays for real durability; tests use [Buffered] *)
   metrics : Tavcc_obs.Metrics.t option;
+      (** the engine's counters: [storage.*], and [wal.appends] (records
+          appended) and [wal.flushes] (forces that wrote bytes).  Opening
+          counts neither the records it decodes nor a flush. *)
   io_hook : (io_point -> io_action) option;
       (** fault injection; may raise {!Crashed} itself.  Not consulted
           during {!create}'s recovery pass. *)
@@ -98,13 +104,20 @@ val begin_txn : t -> int -> unit
     transaction (self-journal mode attributes its writes to it). *)
 
 val commit : t -> int -> unit
-(** Logs [Commit] and forces the WAL (the durability point). *)
+(** Logs [Commit] and forces the WAL (the durability point).  The
+    transaction's undo list is dropped only once the force returns: if
+    it raises, the transaction is still active and the {!abort} that
+    follows rolls it back. *)
 
 val abort : t -> int -> unit
-(** Rolls the transaction back through the log — CLRs for updates,
-    compensating deletes/inserts for inserts/deletes — then logs
-    [Abort].  Idempotent with respect to a store already rolled back by
-    an engine's own undo. *)
+(** Rolls the transaction back by walking only its own changes, newest
+    first — CLRs for updates, compensating deletes/inserts for
+    inserts/deletes, each logged before it is applied — then logs
+    [Abort].  The compensations join no undo list, so they are never
+    compensated again.  Idempotent with respect to a store already
+    rolled back by an engine's own undo (in self-journal mode those undo
+    writes are logged changes of the transaction too, compensated
+    first). *)
 
 val checkpoint : t -> unit
 (** Fuzzy checkpoint: flush all dirty pages, log [Checkpoint], force,
@@ -131,10 +144,6 @@ val journal : t -> Tavcc_par.Par_engine.journal
 
 (** {2 Introspection} *)
 
-val wal : t -> Wal.t
-(** The in-memory mirror of the on-disk log (for observers and the
-    sanitizer).  Do not append to it directly. *)
-
 val dump : t -> (int * string * (string * Value.t) list) list
 (** Every live instance, sorted by oid — the logical state the crash
     matrix compares against its oracle. *)
@@ -145,7 +154,9 @@ type stats = {
   s_pool_pages : int;
   s_pool : Buffer_pool.stats;
   s_wal_records : int;
-  s_wal_bytes : int;
+      (** records in the log: those decoded at open plus those appended
+          since, the unwritten tail included *)
+  s_wal_bytes : int;  (** the size of [wal.log], the unwritten tail excluded *)
   s_cache_entries : int;
 }
 

@@ -6,6 +6,9 @@ module Page = Tavcc_storage.Page
 module Pool = Tavcc_storage.Buffer_pool
 module Engine = Tavcc_storage.Engine
 module Matrix = Tavcc_storage.Crash_matrix
+module Codec = Tavcc_chaos.Codec
+module Fault = Tavcc_chaos.Fault
+module Wal = Tavcc_recovery.Wal
 module Rng = Tavcc_sim.Rng
 open Helpers
 
@@ -490,6 +493,114 @@ let test_engine_abort_cost_flat () =
         (Store.read store oids.(!txn mod 16) (fn "qty"));
       Engine.close eng)
 
+(* The log lives on disk, not in memory: what the engine holds of it is
+   bounded by the work in flight, so the live heap after 60 000 records
+   is the heap after 6 000. *)
+let test_engine_memory_flat () =
+  with_dir "memory_flat" (fun dir ->
+      let schema = storage_schema () in
+      let eng = Engine.create (small_config dir) in
+      let store = Engine.store eng schema in
+      let oids =
+        Array.init 16 (fun i ->
+            Store.new_instance ~init:[ (fn "qty", Value.Vint i) ] store (cn "item"))
+      in
+      let txn = ref 0 in
+      let live_words_at records =
+        while (Engine.stats eng).Engine.s_wal_records < records do
+          incr txn;
+          Engine.begin_txn eng !txn;
+          for k = 0 to 3 do
+            Store.write store oids.((!txn + k) mod 16) (fn "qty") (Value.Vint !txn)
+          done;
+          Engine.commit eng !txn
+        done;
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let w0 = live_words_at 6_000 in
+      let growth = live_words_at 60_000 - w0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "live heap grew %d words from 6 000 to 60 000 records (< 20 000)" growth)
+        true (growth < 20_000);
+      Engine.close eng)
+
+(* A commit whose WAL force fails leaves its transaction active, so the
+   abort that follows still finds the changes to roll back — in memory,
+   and in the log that recovery reads. *)
+let test_failed_commit_force_rolls_back () =
+  with_dir "commit_force" (fun dir ->
+      let schema = storage_schema () in
+      let armed = ref false in
+      let io_hook = function
+        | Engine.Wal_write _ when !armed ->
+            armed := false;
+            failwith "disk full"
+        | _ -> Engine.Proceed
+      in
+      let cfg = small_config dir in
+      let eng = Engine.create { cfg with io_hook = Some io_hook } in
+      let store = Engine.store eng schema in
+      let items =
+        List.init 2 (fun i ->
+            Store.new_instance ~init:[ (fn "qty", Value.Vint i) ] store (cn "item"))
+      in
+      let qtys store = List.map (fun o -> Store.read store o (fn "qty")) items in
+      Engine.begin_txn eng 1;
+      List.iteri (fun i o -> Store.write store o (fn "qty") (Value.Vint (100 + i))) items;
+      armed := true;
+      Alcotest.check_raises "the commit's force fails" (Failure "disk full") (fun () ->
+          Engine.commit eng 1);
+      Engine.abort eng 1;
+      let before_images = [ Value.Vint 0; Value.Vint 1 ] in
+      Alcotest.(check (list value)) "abort restores the before-images" before_images (qtys store);
+      Engine.flush eng;
+      Engine.abandon eng;
+      let eng = Engine.create cfg in
+      Alcotest.(check (list value)) "recovery finds the before-images" before_images
+        (qtys (Engine.store eng schema));
+      Engine.close eng)
+
+(* Restart undo logs a compensation for each change it rolls back before
+   the loser's Abort.  The crash built here lands after that Abort is
+   stable and before the closing checkpoint rewrites the meta page: the
+   next restart redoes from the old checkpoint, and only the
+   compensations in the log keep the loser's write undone. *)
+let test_restart_undo_survives_closing_crash () =
+  with_dir "restart_undo" (fun dir ->
+      let schema = storage_schema () in
+      let cfg = small_config dir in
+      let path name = Filename.concat dir name in
+      let read name = In_channel.with_open_bin (path name) In_channel.input_all in
+      let write name s =
+        Out_channel.with_open_bin (path name) (fun oc -> Out_channel.output_string oc s)
+      in
+      let qty eng o = Store.read (Engine.store eng schema) o (fn "qty") in
+      let eng = Engine.create cfg in
+      let o =
+        Store.new_instance ~init:[ (fn "qty", Value.Vint 0) ] (Engine.store eng schema) (cn "item")
+      in
+      Engine.checkpoint eng;
+      Engine.begin_txn eng 1;
+      Store.write (Engine.store eng schema) o (fn "qty") (Value.Vint 100);
+      Engine.flush eng;
+      Engine.abandon eng;
+      let data = read "data.pages" and dblwr = read "dblwr.log" in
+      let eng = Engine.create cfg in
+      Alcotest.(check value) "recovery rolls the loser back" (Value.Vint 0) (qty eng o);
+      Engine.close ~flush:false eng;
+      let rec through_abort = function
+        | (Wal.Abort 1 as r) :: _ -> [ r ]
+        | r :: tl -> r :: through_abort tl
+        | [] -> Alcotest.fail "recovery logged no abort(1)"
+      in
+      write "wal.log" (Codec.encode (through_abort (Codec.decode (read "wal.log"))));
+      write "data.pages" data;
+      write "dblwr.log" dblwr;
+      let eng = Engine.create cfg in
+      Alcotest.(check value) "the loser stays rolled back" (Value.Vint 0) (qty eng o);
+      Engine.close eng)
+
 (* --- the crash matrix --- *)
 
 let matrix_config ~dir ~seed =
@@ -519,6 +630,61 @@ let test_matrix_crash_in_close () = matrix_seeds_ok [ 521383 ]
 
 (* an instance is created and deleted inside a transaction that aborts *)
 let test_matrix_abort_create_delete () = matrix_seeds_ok [ 50631; 540531 ]
+
+(* Replay digests of plans that fire after populate (and of one that
+   never fires, covering the whole run), pinned: the bytes every one of
+   them leaves on disk, and the state recovered from them.  cck:1 and
+   cck:9 crash the checkpoint right after populate, the same for every
+   seed; cck:40 and cck:52 land in later checkpoints, which flush pages
+   the seeded transactions dirtied. *)
+let pinned_digests =
+  [
+    (1, "f:;cf:20", "725088c6c86afc7c27ee4a1776044944");
+    (1, "f:;torn:30:9", "bdac613c07c92edb062cdf3d76513060");
+    (1, "f:;cpw:60", "12e0ab255ce1fd17060e799d9950a17c");
+    (1, "f:;tpg:80:17", "c4517dbdbc21c23f8fad119fc803178f");
+    (1, "f:;cf:400", "10478467c0495c49f6a16079e3916afc");
+    (42, "f:;cf:20", "c6b0d9cc8c2441519f6a3123b744150a");
+    (42, "f:;torn:30:9", "035fd8d11c654733a57bc670296e1dce");
+    (42, "f:;cpw:60", "ef8df194a3bc1af68d277cd0f6459f94");
+    (42, "f:;tpg:80:17", "2179437df03aab8192666378edda86a7");
+    (42, "f:;cf:400", "0ac146cc5796fc40f7e2ac63ea1e1fe0");
+    (99, "f:;cf:20", "c2db6b477b37f423d345b01fb5454e8e");
+    (99, "f:;torn:30:9", "2fd243e033b687734bec53e5c67f2956");
+    (99, "f:;cpw:60", "6f580457eb69a34fb02d34bf8a8da6e5");
+    (99, "f:;tpg:80:17", "b40d31099be305c482f62f4f46ef9690");
+    (99, "f:;cf:400", "6c7ee78f877ffff1d3f36991c2530976");
+    (521383, "f:;cf:20", "5bd9a35d9e48d6010788678d1a329550");
+    (521383, "f:;torn:30:9", "65d08b304166723f5325001e77b5b620");
+    (521383, "f:;cpw:60", "ec7891eb2b6b7e601ff26e5df439a41a");
+    (521383, "f:;tpg:80:17", "3c5a6f6dfce704071df3b9aaef30a633");
+    (521383, "f:;cf:400", "512e2fe55571740872fb2774c48e211b");
+    (50631, "f:;cf:20", "694f1ccc67ccf9f70804042cd051b676");
+    (50631, "f:;torn:30:9", "f0aef15d4c9fba3d5bbd014b148e5f70");
+    (50631, "f:;cpw:60", "21bceaa168e28fbabf04994304f2b788");
+    (50631, "f:;tpg:80:17", "dc1b49eee7795e8cd9e6bd4166c6c908");
+    (50631, "f:;cf:400", "83263b373dd54e91c330fb0a6f46b141");
+    (42, "f:;cck:1", "dbacc9f0a73e4d52a9791d73648d37bf");
+    (42, "f:;cck:9", "c2bc1415889e08586c3d6fae29688301");
+    (1, "f:;cck:40", "c609eef5847e684cf0911718baa49bef");
+    (42, "f:;cck:40", "3368351ce2f3a94c2b9c42f69a375a7b");
+    (99, "f:;cck:40", "4c34579015915c6f92a03abd27f97fbd");
+    (1, "f:;cck:52", "1023a5a5c95c35563a56fe8268b43194");
+    (42, "f:;cck:52", "fa210c83bd6b6a3f9fad80fd6d58f959");
+    (99, "f:;cck:52", "56cd8277c241dab851013e9f6b547c46");
+  ]
+
+let test_matrix_pinned_digests () =
+  with_dir "matrix_pinned" (fun dir ->
+      List.iter
+        (fun (seed, plan, want) ->
+          let label = Printf.sprintf "seed %d, plan %s" seed plan in
+          let violations, digest, _ =
+            Matrix.run_plan (Matrix.default ~dir ~seed ()) (Fault.of_string plan)
+          in
+          Alcotest.(check (list string)) (label ^ ": no violations") [] violations;
+          Alcotest.(check string) (label ^ ": replay digest") want digest)
+        pinned_digests)
 
 (* --- the journal contract, through the disk store, for both engines ---
 
@@ -656,11 +822,18 @@ let suite =
       test_engine_miss_allocates_no_page;
     Alcotest.test_case "engine: abort cost does not grow with the log" `Quick
       test_engine_abort_cost_flat;
+    Alcotest.test_case "engine: live heap stays flat as the log grows" `Quick
+      test_engine_memory_flat;
+    Alcotest.test_case "engine: a failed commit force is rolled back" `Quick
+      test_failed_commit_force_rolls_back;
+    Alcotest.test_case "engine: restart undo survives a crash in its checkpoint" `Quick
+      test_restart_undo_survives_closing_crash;
     Alcotest.test_case "crash matrix: smoke" `Quick test_matrix_smoke;
     Alcotest.test_case "crash matrix: crash in the closing checkpoint" `Quick
       test_matrix_crash_in_close;
     Alcotest.test_case "crash matrix: aborted create+delete stays gone" `Quick
       test_matrix_abort_create_delete;
+    Alcotest.test_case "crash matrix: pinned replay digests" `Quick test_matrix_pinned_digests;
     QCheck_alcotest.to_alcotest prop_matrix_seeds;
     Alcotest.test_case "journal: par engine aborts recover to the live state" `Quick
       test_par_journal_recovers;
