@@ -15,6 +15,8 @@
     image, cuts it at a byte offset, decodes, and feeds the surviving
     prefix to {!Tavcc_recovery.Restart.recover}. *)
 
+open Tavcc_model
+
 (** {1 The frame envelope}
 
     One format for the framed byte streams in the tree: WAL records
@@ -41,7 +43,10 @@ val get_hex8 : bytes -> int -> int
 val fnv32_sub : bytes -> int -> int -> int
 (** [fnv32_sub b pos len]: FNV-1a/32 of [len] bytes of [b] from [pos],
     read in place — what lets a reader check a frame without copying it.
-    @raise Invalid_argument if the range is not inside [b] *)
+    The hash is folded byte by byte in [Int32] arithmetic (offset basis
+    [0x811c9dc5], prime [0x01000193]), which the compiler keeps unboxed:
+    the call allocates nothing, and the result is the unsigned 32-bit
+    value.  @raise Invalid_argument if the range is not inside [b] *)
 
 val scan :
   ?max:int ->
@@ -57,6 +62,55 @@ val scan :
     [`Incomplete]; [`Corrupt] means no continuation can (a non-hex
     length, one above [max], or a checksum mismatch).
     @raise Invalid_argument if [pos < 0] or [stop] is past the end of [b] *)
+
+(** {1 Tokens}
+
+    The one token codec: WAL payloads here and the page store's record
+    payloads ([Tavcc_storage.Page.Rec]) are sequences of these tokens,
+    with no separators beyond their own terminators.
+
+    - an int is its decimal digits (a leading ['-'] if negative) and a
+      [','], e.g. [-42,];
+    - a string is its length as an int, then its bytes: [3,a,b];
+    - a value is a tag and a body: [i] int, [b0]/[b1], [s] string, [f]
+      and the 16 lowercase hex digits of the float's IEEE bits, [r] an
+      oid as an int, [n] null.
+
+    The encoder writes digits straight into the buffer; the walker finds
+    token boundaries and parses ints where they lie.  Neither allocates
+    per token: only {!Tok.str} and {!Tok.value} allocate, for what they
+    return. *)
+
+module Tok : sig
+  val add_int : Buffer.t -> int -> unit
+  val add_str : Buffer.t -> string -> unit
+  val add_value : Buffer.t -> Value.t -> unit
+
+  exception Malformed
+  (** Raised by the walker at the first byte that is not the token it
+      expects: a truncation, a non-digit, an overflow, or a form the
+      encoder never writes (a leading zero, ["-0"], uppercase hex). *)
+
+  type walker
+  (** A position in [s.[pos, stop)]; each read advances it past one
+      token. *)
+
+  val walker : string -> pos:int -> stop:int -> walker
+  (** @raise Invalid_argument unless [0 <= pos <= stop <= length s] *)
+
+  val pos : walker -> int
+  val at_end : walker -> bool
+  val char : walker -> char
+
+  val int : walker -> int
+  (** Exactly the forms {!add_int} writes, [min_int] and [max_int]
+      included. *)
+
+  val str : walker -> string
+  val skip_str : walker -> unit
+  val value : walker -> Value.t
+  val skip_value : walker -> unit
+end
 
 (** {1 WAL records} *)
 

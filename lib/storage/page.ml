@@ -11,30 +11,35 @@ module Codec = Tavcc_chaos.Codec
 let hex_digits = "0123456789abcdef"
 
 let put_hex buf pos width v =
-  let rec go i v =
-    if i >= 0 then begin
-      Bytes.unsafe_set buf (pos + i) hex_digits.[v land 15];
-      go (i - 1) (v lsr 4)
-    end
-  in
-  go (width - 1) v
+  let v = ref v in
+  for i = pos + width - 1 downto pos do
+    Bytes.unsafe_set buf i (String.unsafe_get hex_digits (!v land 15));
+    v := !v lsr 4
+  done
 
+(* each byte's value as a hex digit, 16 when it is not one *)
+let hex_value =
+  String.init 256 (fun i ->
+      Char.chr
+        (match Char.chr i with
+        | '0' .. '9' -> i - Char.code '0'
+        | 'a' .. 'f' -> i - Char.code 'a' + 10
+        | 'A' .. 'F' -> i - Char.code 'A' + 10
+        | _ -> 16))
+
+(* the [width] hex digits at [pos], or -1 if the field is cut short or a
+   digit is not hex *)
 let get_hex buf pos width =
-  if pos + width > Bytes.length buf then None
-  else
-    let rec go i acc =
-      if i = width then Some acc
-      else
-        let d =
-          match Bytes.unsafe_get buf (pos + i) with
-          | '0' .. '9' as c -> Char.code c - Char.code '0'
-          | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-          | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-          | _ -> -1
-        in
-        if d < 0 then None else go (i + 1) ((acc lsl 4) lor d)
-    in
-    go 0 0
+  if pos + width > Bytes.length buf then -1
+  else begin
+    let acc = ref 0 and bad = ref 0 in
+    for i = pos to pos + width - 1 do
+      let d = Char.code (String.unsafe_get hex_value (Char.code (Bytes.unsafe_get buf i))) in
+      bad := !bad lor d;
+      acc := (!acc lsl 4) lor (d land 15)
+    done;
+    if !bad land 16 = 0 then !acc else -1
+  end
 
 let header_size = 44
 let slot_entry = 16
@@ -49,9 +54,32 @@ let o_heap = 36 (* 8: lowest offset used by the record heap *)
 
 let magic = "TVPG"
 
-type t = { buf : Bytes.t }
+(* The image and its decoded form side by side.  The header's slot count
+   and heap pointer and the slot directory are parsed once, by [clear] or
+   [check], and every operation after that writes the bytes and the
+   decoded fields together, so reads never parse hex.  A dead slot has
+   offset 0.  The per-slot arrays grow on demand: a 4 KiB page of small
+   records uses a few dozen of its 253 possible slots. *)
+type t = {
+  buf : Bytes.t;
+  mutable n : int; (* slot count *)
+  mutable hp : int; (* heap pointer *)
+  mutable offs : int array; (* per slot, below [n] *)
+  mutable lens : int array;
+  mutable live : int; (* bytes in live records *)
+  mutable dead : int; (* dead slots below [n] *)
+  mutable scratch : Bytes.t; (* compaction's copy of the heap, made on first use *)
+}
 
 let size t = Bytes.length t.buf
+let nslots t = t.n
+let dir_end t = header_size + (slot_entry * t.n)
+
+let reset t =
+  t.n <- 0;
+  t.hp <- size t;
+  t.live <- 0;
+  t.dead <- 0
 
 let clear t =
   let buf = t.buf in
@@ -59,98 +87,107 @@ let clear t =
   Bytes.blit_string magic 0 buf o_magic 4;
   put_hex buf o_lsn 16 0;
   put_hex buf o_nslots 8 0;
-  put_hex buf o_heap 8 (Bytes.length buf)
+  put_hex buf o_heap 8 (Bytes.length buf);
+  reset t
+
+let wrap buf =
+  { buf; n = 0; hp = 0; offs = [||]; lens = [||]; live = 0; dead = 0; scratch = Bytes.empty }
 
 let create n =
   if n < min_size then invalid_arg "Page.create: page size too small";
-  let t = { buf = Bytes.create n } in
+  let t = wrap (Bytes.create n) in
   clear t;
   t
 
-let lsn t = match get_hex t.buf o_lsn 16 with Some v -> v | None -> 0
+let lsn t = max 0 (get_hex t.buf o_lsn 16)
 let set_lsn t v = put_hex t.buf o_lsn 16 v
-let nslots t = match get_hex t.buf o_nslots 8 with Some v -> v | None -> 0
-let heap t = match get_hex t.buf o_heap 8 with Some v -> v | None -> size t
-let set_nslots t v = put_hex t.buf o_nslots 8 v
-let set_heap t v = put_hex t.buf o_heap 8 v
-let dir_end t = header_size + (slot_entry * nslots t)
 
-let slot t i =
-  let base = header_size + (slot_entry * i) in
-  match (get_hex t.buf base 8, get_hex t.buf (base + 8) 8) with
-  | Some off, Some len when off > 0 -> Some (off, len)
-  | _ -> None
+(* room for [n] slots in the decoded directory *)
+let reserve t n =
+  let cap = Array.length t.offs in
+  if n > cap then begin
+    let cap' = max n (max 8 (2 * cap)) in
+    let grow a = Array.append a (Array.make (cap' - cap) 0) in
+    t.offs <- grow t.offs;
+    t.lens <- grow t.lens
+  end
+
+(* one more directory entry, dead until [set_slot] fills it *)
+let add_slot t =
+  reserve t (t.n + 1);
+  t.offs.(t.n) <- 0;
+  t.lens.(t.n) <- 0;
+  t.dead <- t.dead + 1;
+  t.n <- t.n + 1;
+  put_hex t.buf o_nslots 8 t.n
+
+let set_heap t v =
+  t.hp <- v;
+  put_hex t.buf o_heap 8 v
+
+let slot t i = if t.offs.(i) > 0 then Some (t.offs.(i), t.lens.(i)) else None
 
 let set_slot t i off len =
+  if t.offs.(i) > 0 then t.live <- t.live - t.lens.(i) else t.dead <- t.dead - 1;
+  if off > 0 then t.live <- t.live + len else t.dead <- t.dead + 1;
+  t.offs.(i) <- off;
+  t.lens.(i) <- len;
   let base = header_size + (slot_entry * i) in
   put_hex t.buf base 8 off;
   put_hex t.buf (base + 8) 8 len
 
-let read_slot t i = if i >= nslots t then None else
-    match slot t i with
-    | Some (off, len) -> Some (Bytes.sub_string t.buf off len)
-    | None -> None
+let read_slot t i =
+  if i < 0 || i >= t.n || t.offs.(i) = 0 then None
+  else Some (Bytes.sub_string t.buf t.offs.(i) t.lens.(i))
 
 let iter t f =
-  for i = 0 to nslots t - 1 do
-    match slot t i with
-    | Some (off, len) -> f i (Bytes.sub_string t.buf off len)
-    | None -> ()
+  for i = 0 to t.n - 1 do
+    if t.offs.(i) > 0 then f i (Bytes.sub_string t.buf t.offs.(i) t.lens.(i))
   done
 
-let live_bytes t =
-  let n = ref 0 in
-  for i = 0 to nslots t - 1 do
-    match slot t i with Some (_, len) -> n := !n + len | None -> ()
-  done;
-  !n
-
 let dead_slot t =
-  let found = ref None in
-  (try
-     for i = 0 to nslots t - 1 do
-       if slot t i = None then begin
-         found := Some i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !found
+  if t.dead = 0 then None
+  else
+    let rec first i = if t.offs.(i) = 0 then Some i else first (i + 1) in
+    first 0
 
+(* Packs the live records against the end of the page, the highest slot
+   outermost, from a copy of the heap taken first: a record's new place
+   may overlap where another still waits to be moved. *)
 let compact t =
-  let live = ref [] in
-  iter t (fun i payload -> live := (i, payload) :: !live);
-  let pos = ref (size t) in
-  (* Slot indices are stable rids — only the heap moves.  Packing the
-     newest-collected (highest offset is irrelevant) records back from
-     the end; the order does not matter as long as they do not overlap,
-     which packing guarantees. *)
-  List.iter
-    (fun (i, payload) ->
-      let len = String.length payload in
+  let hp = t.hp and sz = size t in
+  if Bytes.length t.scratch < sz then t.scratch <- Bytes.create sz;
+  Bytes.blit t.buf hp t.scratch hp (sz - hp);
+  let pos = ref sz in
+  for i = t.n - 1 downto 0 do
+    let off = t.offs.(i) in
+    if off > 0 then begin
+      let len = t.lens.(i) in
       pos := !pos - len;
-      Bytes.blit_string payload 0 t.buf !pos len;
-      set_slot t i !pos len)
-    !live;
+      (* a zero-length record may sit below the heap; it has no bytes *)
+      if len > 0 then Bytes.blit t.scratch off t.buf !pos len;
+      set_slot t i !pos len
+    end
+  done;
   set_heap t !pos
 
-let contiguous t = heap t - dir_end t
+let contiguous t = t.hp - dir_end t
 
 let insert_capacity t =
-  let extra = match dead_slot t with Some _ -> 0 | None -> slot_entry in
-  size t - dir_end t - live_bytes t - extra
+  let extra = if t.dead > 0 then 0 else slot_entry in
+  size t - dir_end t - t.live - extra
 
 let insert t payload =
   let len = String.length payload in
   if len > insert_capacity t then None
   else begin
-    let i, new_slot = match dead_slot t with Some i -> (i, false) | None -> (nslots t, true) in
+    let i, new_slot = match dead_slot t with Some i -> (i, false) | None -> (t.n, true) in
     (* compact before extending the directory: the new entry's 16 bytes
        must land in free space, never on a live record *)
     let need = len + if new_slot then slot_entry else 0 in
     if need > contiguous t then compact t;
-    if new_slot then set_nslots t (nslots t + 1);
-    let off = heap t - len in
+    if new_slot then add_slot t;
+    let off = t.hp - len in
     Bytes.blit_string payload 0 t.buf off len;
     set_slot t i off len;
     set_heap t off;
@@ -158,16 +195,16 @@ let insert t payload =
   end
 
 let delete t i =
-  if i < nslots t then
+  if i >= 0 && i < t.n then
     match slot t i with
     | Some (off, len) ->
         set_slot t i 0 0;
         (* reclaim eagerly when the record sat at the heap edge *)
-        if off = heap t then set_heap t (off + len)
+        if off = t.hp then set_heap t (off + len)
     | None -> ()
 
 let replace t i payload =
-  if i >= nslots t then false
+  if i < 0 || i >= t.n then false
   else
     match slot t i with
     | None -> false
@@ -181,12 +218,12 @@ let replace t i payload =
           if len < old_len then set_slot t i off len;
           true
         end
-        else if len > size t - dir_end t - (live_bytes t - old_len) then false
+        else if len > size t - dir_end t - (t.live - old_len) then false
         else begin
           set_slot t i 0 0;
-          if off = heap t then set_heap t (off + old_len);
+          if off = t.hp then set_heap t (off + old_len);
           if len > contiguous t then compact t;
-          let noff = heap t - len in
+          let noff = t.hp - len in
           Bytes.blit_string payload 0 t.buf noff len;
           set_slot t i noff len;
           set_heap t noff;
@@ -201,22 +238,56 @@ let checksum t = Codec.fnv32_sub t.buf 8 (size t - 8)
 
 let stamp t = Codec.put_hex8 t.buf o_sum (checksum t)
 
+(* The directory as the image has it, into the decoded form: every entry
+   must parse, every live record must end within the page, and one of
+   non-zero length must start at or above the heap (a zero-length record
+   can sit below it once a neighbour at the heap edge is deleted). *)
+let decode_dir t ns hp =
+  let b = t.buf and sz = size t in
+  reserve t ns;
+  t.n <- ns;
+  t.hp <- hp;
+  t.live <- 0;
+  t.dead <- 0;
+  let rec entry i =
+    if i = ns then Ok ()
+    else
+      let base = header_size + (slot_entry * i) in
+      let off = get_hex b base 8 and len = get_hex b (base + 8) 8 in
+      t.offs.(i) <- off;
+      t.lens.(i) <- len;
+      if off < 0 || len < 0 then Error (Printf.sprintf "slot %d unparsable" i)
+      else if off = 0 then begin
+        t.dead <- t.dead + 1;
+        entry (i + 1)
+      end
+      else if len > sz - off || (len > 0 && off < hp) then
+        Error (Printf.sprintf "slot %d (offset %d, length %d) outside the heap" i off len)
+      else begin
+        t.live <- t.live + len;
+        entry (i + 1)
+      end
+  in
+  entry 0
+
 let check t =
   let b = t.buf in
-  if Bytes.length b < min_size then Error "short page"
-  else if Bytes.sub_string b o_magic 4 <> magic then Error "bad magic"
-  else if Codec.get_hex8 b o_sum <> checksum t then Error "bad checksum"
-  else
-    match (get_hex b o_nslots 8, get_hex b o_heap 8) with
-    | Some ns, Some hp
-      when ns >= 0
-           && header_size + (slot_entry * ns) <= hp
-           && hp <= Bytes.length b ->
-        Ok ()
-    | _ -> Error "bad header"
+  let r =
+    if Bytes.length b < min_size then Error "short page"
+    else if Bytes.sub_string b o_magic 4 <> magic then Error "bad magic"
+    else if Codec.get_hex8 b o_sum <> checksum t then Error "bad checksum"
+    else
+      let ns = get_hex b o_nslots 8 and hp = get_hex b o_heap 8 in
+      if ns >= 0 && header_size + (slot_entry * ns) <= hp && hp <= Bytes.length b then
+        decode_dir t ns hp
+      else Error "bad header"
+  in
+  (* a refused image reads as an empty page until the next good one *)
+  if Result.is_error r then reset t;
+  r
 
 let of_bytes b =
-  let t = { buf = b } in
+  let t = wrap b in
   Result.map (fun () -> t) (check t)
 
 let rec zero_from b i =
@@ -226,139 +297,75 @@ let is_zero b = zero_from b 0
 
 (* --- instance record payloads ---
 
-   Same token discipline as the chaos Codec: ints are decimal with a
-   trailing ',', strings length-prefixed, floats the 16 hex digits of
-   their IEEE bits.  Records carry field *names* so a log or a page
-   replays without a schema in hand. *)
+   A record is a sequence of the chaos Codec's tokens: oid, class, slot
+   count, then each slot's field name and value.  Records carry field
+   *names* so a log or a page replays without a schema in hand. *)
 
 module Rec = struct
   type t = { r_oid : int; r_cls : string; r_slots : (string * Value.t) array }
 
-  let enc_int b n =
-    Buffer.add_string b (string_of_int n);
-    Buffer.add_char b ','
-
-  let enc_str b s =
-    enc_int b (String.length s);
-    Buffer.add_string b s
-
-  let enc_value b = function
-    | Value.Vint n ->
-        Buffer.add_char b 'i';
-        enc_int b n
-    | Value.Vbool v -> Buffer.add_string b (if v then "b1" else "b0")
-    | Value.Vstring s ->
-        Buffer.add_char b 's';
-        enc_str b s
-    | Value.Vfloat f ->
-        Buffer.add_char b 'f';
-        Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float f))
-    | Value.Vref oid ->
-        Buffer.add_char b 'r';
-        enc_int b (Oid.to_int oid)
-    | Value.Vnull -> Buffer.add_char b 'n'
+  module Tok = Codec.Tok
 
   let encode r =
-    let b = Buffer.create 64 in
-    enc_int b r.r_oid;
-    enc_str b r.r_cls;
-    enc_int b (Array.length r.r_slots);
+    let b = Buffer.create (32 + (16 * Array.length r.r_slots)) in
+    Tok.add_int b r.r_oid;
+    Tok.add_str b r.r_cls;
+    Tok.add_int b (Array.length r.r_slots);
     Array.iter
       (fun (f, v) ->
-        enc_str b f;
-        enc_value b v)
+        Tok.add_str b f;
+        Tok.add_value b v)
       r.r_slots;
     Buffer.contents b
 
-  exception Torn
-
-  type cursor = { s : string; mutable pos : int }
-
-  let take c n =
-    if c.pos + n > String.length c.s then raise Torn;
-    let r = String.sub c.s c.pos n in
-    c.pos <- c.pos + n;
-    r
-
-  let dec_char c = (take c 1).[0]
-
-  let dec_int c =
-    let start = c.pos in
-    let rec find i =
-      if i >= String.length c.s then raise Torn
-      else if c.s.[i] = ',' then i
-      else find (i + 1)
-    in
-    let stop = find start in
-    c.pos <- stop + 1;
-    match int_of_string_opt (String.sub c.s start (stop - start)) with
-    | Some n -> n
-    | None -> raise Torn
-
-  let dec_str c =
-    let n = dec_int c in
-    if n < 0 then raise Torn;
-    take c n
-
-  let dec_value c =
-    match dec_char c with
-    | 'i' -> Value.Vint (dec_int c)
-    | 'b' -> (
-        match dec_char c with
-        | '0' -> Value.Vbool false
-        | '1' -> Value.Vbool true
-        | _ -> raise Torn)
-    | 's' -> Value.Vstring (dec_str c)
-    | 'f' -> (
-        let hex = take c 16 in
-        match Int64.of_string_opt ("0x" ^ hex) with
-        | Some bits -> Value.Vfloat (Int64.float_of_bits bits)
-        | None -> raise Torn)
-    | 'r' -> Value.Vref (Oid.of_int (dec_int c))
-    | 'n' -> Value.Vnull
-    | _ -> raise Torn
+  (* the slot count; each slot takes at least 3 bytes ("0,n"), which
+     bounds a count a damaged payload claims *)
+  let slot_count w s =
+    let n = Tok.int w in
+    if n < 0 || n > (String.length s - Tok.pos w) / 3 then raise Tok.Malformed;
+    n
 
   let decode s =
-    let c = { s; pos = 0 } in
+    let w = Tok.walker s ~pos:0 ~stop:(String.length s) in
     match
-      let r_oid = dec_int c in
-      let r_cls = dec_str c in
-      let n = dec_int c in
-      if n < 0 then raise Torn;
+      let r_oid = Tok.int w in
+      let r_cls = Tok.str w in
+      let n = slot_count w s in
       let slots = Array.make n ("", Value.Vnull) in
       for i = 0 to n - 1 do
-        let f = dec_str c in
-        let v = dec_value c in
+        let f = Tok.str w in
+        let v = Tok.value w in
         slots.(i) <- (f, v)
       done;
       { r_oid; r_cls; r_slots = slots }
     with
-    | r -> if c.pos = String.length s then Some r else None
-    | exception Torn -> None
+    | r -> if Tok.at_end w then Some r else None
+    | exception Tok.Malformed -> None
 
   let splice payload idx v =
-    (* re-encode with slot [idx]'s value swapped for [v], without
-       decoding the rest — the field-write fast path *)
-    let c = { s = payload; pos = 0 } in
+    (* re-encode with slot [idx]'s value swapped for [v], walking the
+       prefix without decoding it — the field-write fast path *)
+    let w = Tok.walker payload ~pos:0 ~stop:(String.length payload) in
     match
-      let _ = dec_int c in
-      let _ = dec_str c in
-      let n = dec_int c in
-      if idx < 0 || idx >= n then raise Torn;
+      ignore (Tok.int w);
+      Tok.skip_str w;
+      let n = slot_count w payload in
+      if idx < 0 || idx >= n then raise Tok.Malformed;
       for _ = 1 to idx do
-        let _ = dec_str c in
-        ignore (dec_value c)
+        Tok.skip_str w;
+        Tok.skip_value w
       done;
-      let _ = dec_str c in
-      let start = c.pos in
-      ignore (dec_value c);
-      let stop = c.pos in
-      let b = Buffer.create (String.length payload + 16) in
-      Buffer.add_substring b payload 0 start;
-      enc_value b v;
-      Buffer.add_substring b payload stop (String.length payload - stop);
-      Buffer.contents b
+      Tok.skip_str w;
+      let start = Tok.pos w in
+      Tok.skip_value w;
+      start
     with
-    | p -> Some p
-    | exception Torn -> None
+    | start ->
+        let stop = Tok.pos w in
+        let b = Buffer.create (String.length payload + 24) in
+        Buffer.add_substring b payload 0 start;
+        Tok.add_value b v;
+        Buffer.add_substring b payload stop (String.length payload - stop);
+        Some (Buffer.contents b)
+    | exception Tok.Malformed -> None
 end

@@ -11,10 +11,19 @@
     integer is fixed-width hex, the checksum is the 8-hex
     FNV-1a/32 of bytes [8, size), so a torn page write is detected at
     {!check} and repaired from the double-write buffer at recovery.
+    Each slot entry is two 8-hex fields, offset then length; offset 0
+    marks a dead slot.
 
     A page is one [Bytes.t] that IO reads into and writes from directly
     ({!image}): the buffer pool's frames each own one page for their
-    lifetime, and nothing on the page-IO path copies an image. *)
+    lifetime, and nothing on the page-IO path copies an image.
+
+    Beside the bytes, a page keeps its slot count, heap pointer and slot
+    directory decoded (each slot's offset and length, the live bytes,
+    the number of dead slots); the LSN is read from the image.  {!clear}
+    and {!check} derive that form from the image, so a page is decoded
+    once per load; every operation after that updates the bytes and the
+    decoded form together and parses no hex. *)
 
 open Tavcc_model
 
@@ -29,7 +38,7 @@ val create : int -> t
 
 val clear : t -> unit
 (** Empties the page in place: afterwards its image is exactly what
-    {!create} returns. *)
+    {!create} returns, and so is its decoded form. *)
 
 val size : t -> int
 
@@ -61,15 +70,24 @@ val compact : t -> unit
 
 val image : t -> bytes
 (** The page's own buffer, not a copy: a read fills it in place (then
-    {!check}), a write sends it out (after {!stamp}). *)
+    {!check}), a write sends it out (after {!stamp}).  Bytes written into
+    it from outside — by a read or a test — take effect at the next
+    {!check} or {!clear}: until then the page answers from the form it
+    decoded last. *)
 
 val stamp : t -> unit
 (** Writes the checksum of the current contents into the header, making
     {!image} the durable image. *)
 
 val check : t -> (unit, string) result
-(** Verifies length, magic, checksum and header sanity of the image in
-    place. *)
+(** Verifies the image in place and decodes it: length, magic,
+    checksum, a slot count and heap pointer that leave the directory
+    below the heap, and every slot entry.  An entry must parse; a live
+    record must end within the page, and one of non-zero length must
+    start at or above the heap pointer (a zero-length record may sit
+    below it once its neighbour at the heap edge is deleted).  The error
+    names the first bad slot.  After an [Error] the page reads as empty
+    until the next successful [check] or {!clear}. *)
 
 val of_bytes : bytes -> (t, string) result
 (** [b] as a page, without copying (the page aliases [b]), after the
@@ -80,8 +98,9 @@ val is_zero : bytes -> bool
     non-zero byte. *)
 
 (** Instance record payloads: oid, class and named field values, in the
-    store's slot order.  Self-describing — a page or a WAL record
-    replays without the schema. *)
+    store's slot order, as tokens of {!Tavcc_chaos.Codec.Tok} — the WAL's
+    token codec.  Self-describing: a page or a WAL record replays
+    without the schema. *)
 module Rec : sig
   type t = { r_oid : int; r_cls : string; r_slots : (string * Value.t) array }
 
@@ -91,6 +110,8 @@ module Rec : sig
   val splice : string -> int -> Value.t -> string option
   (** [splice payload idx v] re-encodes [payload] with slot [idx]'s
       value replaced by [v], walking (not decoding) the prefix — the
-      field-write fast path.  [None] when [idx] is out of range or the
-      payload does not parse. *)
+      field-write fast path.  For a payload that decodes, it equals
+      [encode] of [decode payload] with slot [idx] set to [v].  [None]
+      when [idx] is out of range or the payload's tokens up to that slot
+      do not parse. *)
 end

@@ -117,3 +117,99 @@ let check_sums store tbl =
               expect
       | _ -> Alcotest.fail "non-int slice field")
     tbl
+
+(* --- the token encoding, spelled out as a reference ---
+
+   What the shared token codec ([Tavcc_chaos.Codec.Tok]) must write,
+   byte for byte: ints through [string_of_int], float bits through
+   [Printf], one token after another. *)
+module Ref_tok = struct
+  module W = Tavcc_recovery.Wal
+
+  let int n = string_of_int n ^ ","
+  let str s = int (String.length s) ^ s
+
+  let value = function
+    | Value.Vint n -> "i" ^ int n
+    | Value.Vbool v -> if v then "b1" else "b0"
+    | Value.Vstring s -> "s" ^ str s
+    | Value.Vfloat f -> Printf.sprintf "f%016Lx" (Int64.bits_of_float f)
+    | Value.Vref o -> "r" ^ int (Oid.to_int o)
+    | Value.Vnull -> "n"
+
+  let slots l =
+    int (List.length l) ^ String.concat "" (List.map (fun (f, v) -> str f ^ value v) l)
+
+  let named l = slots (List.map (fun (f, v) -> (Name.Field.to_string f, v)) l)
+  let field f = str (Name.Field.to_string f)
+  let cls c = str (Name.Class.to_string c)
+  let oid o = int (Oid.to_int o)
+
+  let record = function
+    | W.Begin t -> "B" ^ int t
+    | W.Update { txn; oid = o; field = f; before; after } ->
+        "U" ^ int txn ^ oid o ^ field f ^ value before ^ value after
+    | W.Clr { txn; oid = o; field = f; after } -> "C" ^ int txn ^ oid o ^ field f ^ value after
+    | W.Insert { txn; oid = o; cls = c; slots = l } -> "I" ^ int txn ^ oid o ^ cls c ^ named l
+    | W.Delete { txn; oid = o; cls = c; slots = l } -> "D" ^ int txn ^ oid o ^ cls c ^ named l
+    | W.Commit t -> "T" ^ int t
+    | W.Abort t -> "A" ^ int t
+    | W.Checkpoint l -> "K" ^ int (List.length l) ^ String.concat "" (List.map int l)
+
+  (* FNV-1a/32 one byte at a time, masked at every step *)
+  let fnv32 s =
+    let h = ref 0x811c9dc5 in
+    String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff) s;
+    !h
+
+  let frame p = Printf.sprintf "%08x%08x%s" (String.length p) (fnv32 p) p
+end
+
+(* Generators for the token codec's edge cases: the int extremes, strings
+   made of the characters the codec itself uses, and the odd floats. *)
+module Tok_gen = struct
+  open QCheck.Gen
+  module W = Tavcc_recovery.Wal
+
+  let int =
+    oneof
+      [ oneofl [ 0; -1; 1; 9; 10; -10; min_int; max_int; min_int + 1 ]; small_signed_int; int ]
+
+  let str =
+    string_size ~gen:(oneofl [ ','; '-'; '0'; '1'; '9'; 'i'; 'n'; 'f'; '\000'; '\255' ]) (0 -- 12)
+
+  let float = oneof [ oneofl [ nan; infinity; neg_infinity; -0.; 0.; 1e-310 ]; float ]
+
+  let value =
+    oneof
+      [
+        map (fun n -> Value.Vint n) int;
+        map (fun v -> Value.Vbool v) bool;
+        map (fun s -> Value.Vstring s) str;
+        map (fun f -> Value.Vfloat f) float;
+        map (fun n -> Value.Vref (Oid.of_int n)) int;
+        return Value.Vnull;
+      ]
+
+  let slots = list_size (0 -- 6) (pair str value)
+  let named = map (List.map (fun (f, v) -> (Name.Field.of_string f, v))) slots
+  let field = map Name.Field.of_string str
+  let cls = map Name.Class.of_string str
+  let oid = map Oid.of_int int
+
+  let record =
+    oneof
+      [
+        map (fun t -> W.Begin t) int;
+        map3 (fun (txn, oid) field (before, after) -> W.Update { txn; oid; field; before; after })
+          (pair int oid) field (pair value value);
+        map3
+          (fun (txn, oid) field after -> W.Clr { txn; oid; field; after })
+          (pair int oid) field value;
+        map3 (fun (txn, oid) cls slots -> W.Insert { txn; oid; cls; slots }) (pair int oid) cls named;
+        map3 (fun (txn, oid) cls slots -> W.Delete { txn; oid; cls; slots }) (pair int oid) cls named;
+        map (fun t -> W.Commit t) int;
+        map (fun t -> W.Abort t) int;
+        map (fun l -> W.Checkpoint l) (list_size (0 -- 5) int);
+      ]
+end

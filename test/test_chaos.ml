@@ -122,6 +122,64 @@ let test_codec_corruption () =
     (Invalid_argument "Codec.decode_exact: torn or corrupt tail") (fun () ->
       ignore (Codec.decode_exact (String.sub bytes 0 (String.length bytes - 1))))
 
+(* --- the shared token codec --- *)
+
+let prop_codec_reference =
+  QCheck.Test.make ~count:500 ~name:"codec frames every record as the reference does"
+    (QCheck.make ~print:(fun r -> String.escaped (Ref_tok.record r)) Tok_gen.record)
+    (fun r ->
+      let s = Codec.encode_record r in
+      s = Ref_tok.frame (Ref_tok.record r) && compare (Codec.decode s) [ r ] = 0)
+
+let test_walker_ints () =
+  let parse s =
+    let w = Codec.Tok.walker s ~pos:0 ~stop:(String.length s) in
+    match Codec.Tok.int w with
+    | n -> if Codec.Tok.at_end w then Some n else None
+    | exception Codec.Tok.Malformed -> None
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check (option int)) (string_of_int n) (Some n) (parse (string_of_int n ^ ",")))
+    [ 0; 7; -7; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ];
+  (* one past [max_int] and [min_int]: their last digits are below 9 *)
+  let past n =
+    let s = string_of_int n in
+    let k = String.length s - 1 in
+    String.mapi (fun i c -> if i = k then Char.chr (Char.code c + 1) else c) s ^ ","
+  in
+  List.iter
+    (fun s -> Alcotest.(check (option int)) (Printf.sprintf "%S refused" s) None (parse s))
+    [ ""; ","; "-,"; "-0,"; "00,"; "07,"; "-07,"; "+7,"; "7"; "0x7,"; "1_0,"; " 7,";
+      past max_int; past min_int; "99999999999999999999," ]
+
+let prop_fnv_reference =
+  QCheck.Test.make ~count:300 ~name:"fnv32_sub equals a reference byte loop"
+    QCheck.(make Gen.(triple (string_size (0 -- 600)) nat nat))
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Codec.fnv32_sub (Bytes.of_string s) pos len = Ref_tok.fnv32 (String.sub s pos len))
+
+let test_fnv_allocates_nothing () =
+  let b = Bytes.init 4096 (fun i -> Char.chr (i * 31 land 255)) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  (* the best of three, so that a thread switch into code that
+     allocates cannot fail the check *)
+  let extra () =
+    words (fun () -> ignore (Sys.opaque_identity (Codec.fnv32_sub b 0 4096)))
+    -. words (fun () -> ())
+  in
+  Alcotest.(check (float 0.)) "minor words of 100 checksums of 4 KiB, over an empty loop's" 0.
+    (List.fold_left min infinity [ extra (); extra (); extra () ])
+
 (* --- torn-tail recovery through the manager (satellite: WAL cut
    mid-record recovers the longest valid prefix) --- *)
 
@@ -500,6 +558,10 @@ let suite =
     case "codec round-trips" test_codec_roundtrip;
     case "codec survives every byte cut" test_codec_every_cut;
     case "codec detects corruption" test_codec_corruption;
+    QCheck_alcotest.to_alcotest prop_codec_reference;
+    case "token walker accepts exactly the encoder's ints" test_walker_ints;
+    QCheck_alcotest.to_alcotest prop_fnv_reference;
+    case "fnv32_sub allocates nothing" test_fnv_allocates_nothing;
     case "torn tail recovers longest valid prefix" test_torn_tail_recovery;
     case "torture replays bit-for-bit" test_torture_deterministic;
     case "pinned replay digests, counts and aborts" test_pinned_streams;

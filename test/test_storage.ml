@@ -58,6 +58,41 @@ let prop_rec_cut =
       done;
       !ok)
 
+(* The record codec is the shared token codec: it writes the reference
+   bytes, reads them back, and [splice] is a re-encode of one slot. *)
+let rec_gen =
+  QCheck.Gen.map3
+    (fun r_oid r_cls slots -> { Page.Rec.r_oid; r_cls; r_slots = Array.of_list slots })
+    Tok_gen.int Tok_gen.str Tok_gen.slots
+
+let ref_rec r =
+  Ref_tok.int r.Page.Rec.r_oid ^ Ref_tok.str r.r_cls ^ Ref_tok.slots (Array.to_list r.r_slots)
+
+let print_rec r = String.escaped (ref_rec r)
+
+let prop_rec_reference =
+  QCheck.Test.make ~count:500 ~name:"record codec writes the reference bytes and reads them back"
+    (QCheck.make ~print:print_rec rec_gen) (fun r ->
+      let s = Page.Rec.encode r in
+      s = ref_rec r && rec_eq (Page.Rec.decode s) (Some r))
+
+let prop_rec_splice =
+  QCheck.Test.make ~count:500 ~name:"splice re-encodes the decoded record with one slot set"
+    (QCheck.make
+       ~print:(fun (r, i, v) -> Printf.sprintf "%s @%d := %s" (print_rec r) i (Ref_tok.value v))
+       QCheck.Gen.(triple rec_gen (-2 -- 7) Tok_gen.value))
+    (fun (r, i, v) ->
+      let p = Page.Rec.encode r in
+      let want =
+        match Page.Rec.decode p with
+        | Some d when i >= 0 && i < Array.length d.Page.Rec.r_slots ->
+            let slots = Array.copy d.Page.Rec.r_slots in
+            slots.(i) <- (fst slots.(i), v);
+            Some (Page.Rec.encode { d with Page.Rec.r_slots = slots })
+        | _ -> None
+      in
+      Page.Rec.splice p i v = want)
+
 (* --- page image checksumming --- *)
 
 let prop_page_bitflip =
@@ -102,62 +137,137 @@ let prop_page_torn =
       done;
       !ok)
 
+(* A slot entry that is not a record of the heap, under a good checksum:
+   [check] must refuse it, not leave every read of the slot to run off
+   the image.  By default the entry points past the end of the page. *)
+let bad_slot_image ?(offset = "00000ff0") size =
+  let page = Page.create size in
+  ignore (Page.insert page "record");
+  (* slot 0's offset is the first field of the directory *)
+  Bytes.blit_string offset 0 (Page.image page) Page.header_size 8;
+  Page.stamp page;
+  Page.image page
+
+let test_page_bad_slot () =
+  List.iter
+    (fun (why, offset) ->
+      match Page.of_bytes (bad_slot_image ~offset 512) with
+      | Ok _ -> Alcotest.failf "a slot entry %s passed check" why
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names slot 0" why e)
+            true (contains e "slot 0"))
+    [
+      ("past the end of the page", "00000ff0");
+      ("below the heap, on the directory", "0000002c");
+      ("that does not parse", "0000zz00");
+    ]
+
 (* --- page ops against a model --- *)
+
+(* A page rebuilt from a copy of its stamped image must agree with the
+   live page: the decoded slot directory never drifts from the bytes. *)
+let agrees_with_image page =
+  Page.stamp page;
+  match Page.of_bytes (Bytes.copy (Page.image page)) with
+  | Error _ -> false
+  | Ok p' ->
+      let n = Page.nslots page in
+      let rec slots_agree i =
+        i >= n || (Page.read_slot p' i = Page.read_slot page i && slots_agree (i + 1))
+      in
+      Page.nslots p' = n && Page.insert_capacity p' = Page.insert_capacity page && slots_agree 0
+
+(* One run of the page-operation generator on a fresh [size]-byte page:
+   150 random inserts, deletes, replaces, compactions and stamps, checked
+   after every step against a model and against a page rebuilt from the
+   stamped image.  Payload sizes scale with the page.  Returns whether
+   every check held, and the page. *)
+let page_ops ~size seed =
+  let rng = Rng.create seed in
+  let page = Page.create size in
+  let scaled n = n * size / 512 in
+  let model : (int, string) Hashtbl.t = Hashtbl.create 16 in
+  let ok = ref true in
+  let check_model () =
+    Hashtbl.iter
+      (fun slot payload -> if Page.read_slot page slot <> Some payload then ok := false)
+      model
+  in
+  let slots () = Hashtbl.fold (fun k _ l -> k :: l) model [] in
+  for _ = 1 to 150 do
+    (match Rng.int rng 10 with
+    | 0 | 1 | 2 | 3 -> (
+        (* the byte is drawn before the length, as the pinned images were *)
+        let c = Char.chr (33 + Rng.int rng 90) in
+        let payload = String.make (Rng.int rng (scaled 90)) c in
+        let cap = Page.insert_capacity page in
+        match Page.insert page payload with
+        | Some slot ->
+            if String.length payload > cap then ok := false;
+            Hashtbl.replace model slot payload
+        | None -> if String.length payload <= cap then ok := false)
+    | 4 | 5 -> (
+        match slots () with
+        | [] -> ()
+        | l ->
+            let s = Rng.pick rng l in
+            Page.delete page s;
+            Hashtbl.remove model s;
+            if Page.read_slot page s <> None then ok := false)
+    | 6 | 7 -> (
+        match slots () with
+        | [] -> ()
+        | l ->
+            let s = Rng.pick rng l in
+            let c = Char.chr (33 + Rng.int rng 90) in
+            let payload = String.make (Rng.int rng (scaled 120)) c in
+            if Page.replace page s payload then Hashtbl.replace model s payload
+            else if Page.read_slot page s <> Hashtbl.find_opt model s then ok := false)
+    | 8 -> Page.compact page
+    | _ -> Page.stamp page);
+    check_model ();
+    if not (agrees_with_image page) then ok := false
+  done;
+  Page.stamp page;
+  (!ok, page)
 
 let prop_page_ops =
   QCheck.Test.make ~count:150 ~name:"page: random insert/delete/replace/compact vs model"
-    seed_arb (fun seed ->
-      let rng = Rng.create seed in
-      let page = Page.create 512 in
-      let model : (int, string) Hashtbl.t = Hashtbl.create 16 in
-      let ok = ref true in
-      let check_model () =
-        Hashtbl.iter
-          (fun slot payload ->
-            if Page.read_slot page slot <> Some payload then ok := false)
-          model
-      in
-      let slots () = Hashtbl.fold (fun k _ l -> k :: l) model [] in
-      for _ = 1 to 150 do
-        (match Rng.int rng 10 with
-        | 0 | 1 | 2 | 3 -> (
-            let payload = String.make (Rng.int rng 90) (Char.chr (33 + Rng.int rng 90)) in
-            let cap = Page.insert_capacity page in
-            match Page.insert page payload with
-            | Some slot ->
-                if String.length payload > cap then ok := false;
-                Hashtbl.replace model slot payload
-            | None -> if String.length payload <= cap then ok := false)
-        | 4 | 5 -> (
-            match slots () with
-            | [] -> ()
-            | l ->
-                let s = Rng.pick rng l in
-                Page.delete page s;
-                Hashtbl.remove model s;
-                if Page.read_slot page s <> None then ok := false)
-        | 6 | 7 -> (
-            match slots () with
-            | [] -> ()
-            | l ->
-                let s = Rng.pick rng l in
-                let payload = String.make (Rng.int rng 120) (Char.chr (33 + Rng.int rng 90)) in
-                if Page.replace page s payload then Hashtbl.replace model s payload
-                else if Page.read_slot page s <> Hashtbl.find_opt model s then ok := false)
-        | 8 -> Page.compact page
-        | _ -> (
-            (* the stamped image alone preserves every slot *)
-            Page.stamp page;
-            match Page.of_bytes (Bytes.copy (Page.image page)) with
-            | Ok p' ->
-                Hashtbl.iter
-                  (fun slot payload ->
-                    if Page.read_slot p' slot <> Some payload then ok := false)
-                  model
-            | Error _ -> ok := false));
-        check_model ()
-      done;
-      !ok)
+    seed_arb (fun seed -> fst (page_ops ~size:512 seed))
+
+(* Placement pinned: the generator's final stamped images for fixed
+   seeds, at both page sizes the store uses.  Which slot a record gets
+   and where compaction moves it are part of the on-disk format. *)
+let pinned_page_images =
+  [
+    (512, 1, "5b1c3f68bf10c74e72003e15736d0e8f");
+    (512, 2, "162c59cb1369f6605eab826eb14fc84a");
+    (512, 3, "00c71852609e0698b7b5085ccc5b4262");
+    (512, 4, "adfbcccdb4029b7d4fc9a7ff87f9bfec");
+    (512, 5, "9223edc8a6f49460b60b4597eb1ad36a");
+    (512, 6, "a2f0c52993edd0c9ecfe4a49a54e2344");
+    (512, 7, "0334d55418937dff88379ee480050bcb");
+    (512, 8, "f98c974f9264dceb329da39599e2a095");
+    (4096, 1, "430b3909c89cbce5b005d68016225c25");
+    (4096, 2, "d13ab5b5ed9bda3e624fe006d07d67f2");
+    (4096, 3, "c24fd94bdcf5e68506bfd1561570b182");
+    (4096, 4, "89b9d1c69b1b1a41d7afd9bdc5001c06");
+    (4096, 5, "ff5b83a3df3d11136a8ca42174d44241");
+    (4096, 6, "ded293824d237ba41dda968002a1f155");
+    (4096, 7, "fafd41ab7c69f90a0e7667d42235672c");
+    (4096, 8, "f309ca0137ef580f086f50b7eb82c89a");
+  ]
+
+let test_page_placement_pinned () =
+  List.iter
+    (fun (size, seed, want) ->
+      let ok, page = page_ops ~size seed in
+      let label = Printf.sprintf "%d-byte page, seed %d" size seed in
+      Alcotest.(check bool) (label ^ ": model and image agree") true ok;
+      Alcotest.(check string) (label ^ ": image digest") want
+        (Digest.to_hex (Digest.bytes (Page.image page))))
+    pinned_page_images
 
 (* --- buffer pool invariants --- *)
 
@@ -601,6 +711,26 @@ let test_restart_undo_survives_closing_crash () =
       Alcotest.(check value) "the loser stays rolled back" (Value.Vint 0) (qty eng o);
       Engine.close eng)
 
+(* Recovery's page scan meets a page whose slot entry points outside it,
+   with no double-write copy to repair it from: the reopen fails with the
+   engine's corrupt-page error. *)
+let test_engine_bad_slot_page () =
+  with_dir "bad_slot" (fun dir ->
+      let schema = storage_schema () in
+      let cfg = small_config dir in
+      let eng = Engine.create cfg in
+      let store = Engine.store eng schema in
+      ignore (Store.new_instance ~init:[ (fn "qty", Value.Vint 1) ] store (cn "item"));
+      Engine.close eng;
+      let fd = Unix.openfile (Filename.concat dir "data.pages") [ Unix.O_WRONLY ] 0 in
+      let img = bad_slot_image cfg.Engine.page_size in
+      ignore (Unix.lseek fd cfg.Engine.page_size Unix.SEEK_SET);
+      ignore (Unix.write fd img 0 (Bytes.length img));
+      Unix.close fd;
+      Alcotest.check_raises "reopen reports the corrupt page"
+        (Failure "Storage: page 1 corrupt with no dblwr copy") (fun () ->
+          ignore (Engine.create cfg)))
+
 (* --- the crash matrix --- *)
 
 let matrix_config ~dir ~seed =
@@ -806,9 +936,15 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_rec_roundtrip;
     QCheck_alcotest.to_alcotest prop_rec_cut;
+    QCheck_alcotest.to_alcotest prop_rec_reference;
+    QCheck_alcotest.to_alcotest prop_rec_splice;
     QCheck_alcotest.to_alcotest prop_page_bitflip;
     QCheck_alcotest.to_alcotest prop_page_torn;
+    Alcotest.test_case "page: a slot entry outside the page fails check" `Quick
+      test_page_bad_slot;
     QCheck_alcotest.to_alcotest prop_page_ops;
+    Alcotest.test_case "page: placement pinned by image digests" `Quick
+      test_page_placement_pinned;
     Alcotest.test_case "pool: pin ledger" `Quick test_pool_ledger;
     Alcotest.test_case "pool: all pinned fails loudly" `Quick test_pool_all_pinned;
     Alcotest.test_case "pool: dirty never dropped" `Quick test_pool_dirty_never_dropped;
@@ -828,6 +964,8 @@ let suite =
       test_failed_commit_force_rolls_back;
     Alcotest.test_case "engine: restart undo survives a crash in its checkpoint" `Quick
       test_restart_undo_survives_closing_crash;
+    Alcotest.test_case "engine: a bad slot entry is a corrupt page at reopen" `Quick
+      test_engine_bad_slot_page;
     Alcotest.test_case "crash matrix: smoke" `Quick test_matrix_smoke;
     Alcotest.test_case "crash matrix: crash in the closing checkpoint" `Quick
       test_matrix_crash_in_close;
