@@ -21,8 +21,10 @@ open Tavcc_model
 
     One format for the framed byte streams in the tree: WAL records
     here, wire messages ({!Tavcc_net.Wire}) and the page store's
-    double-write entries are all frames, and the page store's headers
-    use the same hex fields and checksum. *)
+    double-write frame are all frames, and the page store's headers
+    use the same hex fields.  {!fnv32_sub} is the frame checksum only:
+    page images carry their own word-at-a-time checksum
+    ([Tavcc_storage.Page.checksum]). *)
 
 val frame : string -> string
 (** [<8 hex: length><8 hex: FNV-1a/32 of payload><payload>]. *)

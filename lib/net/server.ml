@@ -65,6 +65,8 @@ type t = {
   svc : Par_engine.service;
   nm : net_metrics option;
   stop : bool Atomic.t;
+  wake_r : Unix.file_descr; (* self-pipe: [request_stop]'s one byte wakes the accept loop *)
+  wake_w : Unix.file_descr;
   mutable accept_thread : Thread.t option;
   smu : Mutex.t;
   mutable sessions : (session * Thread.t) list;
@@ -316,19 +318,22 @@ let accept_one t fd =
     tick t (fun nm -> Metrics.set nm.nm_sessions n)
   end
 
+(* Blocks in [select] on the listener and the self-pipe, with no
+   timeout.  The loop ends when [request_stop]'s byte arrives, not when
+   it first sees the flag: the byte is the last thing [request_stop]
+   writes, so once the loop is gone [wait] may close the pipe. *)
 let accept_loop t () =
   let rec go () =
-    if not (Atomic.get t.stop) then begin
-      (match Unix.select [ t.lfd ] [] [] 0.25 with
-      | [ _ ], _, _ -> (
-          if not (Atomic.get t.stop) then
-            match Unix.accept t.lfd with
-            | fd, _ -> accept_one t fd
-            | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ())
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      go ()
-    end
+    match Unix.select [ t.lfd; t.wake_r ] [] [] (-1.0) with
+    | r, _, _ when List.mem t.wake_r r -> ()
+    | _ :: _, _, _ ->
+        (if not (Atomic.get t.stop) then
+           match Unix.accept t.lfd with
+           | fd, _ -> accept_one t fd
+           | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ());
+        go ()
+    | [], _, _ -> go ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
   in
   go ()
 
@@ -375,6 +380,8 @@ let start cfg =
     Par_engine.service_start ~config:cfg.engine ~queue_capacity:cfg.queue_capacity
       ~scheme:cfg.scheme ~store:cfg.store ()
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_w;
   let t =
     {
       cfg;
@@ -383,6 +390,8 @@ let start cfg =
       svc;
       nm;
       stop = Atomic.make false;
+      wake_r;
+      wake_w;
       accept_thread = None;
       smu = Mutex.create ();
       sessions = [];
@@ -395,7 +404,12 @@ let start cfg =
   t
 
 let bound_addr t = t.bound
-let request_stop t = Atomic.set t.stop true
+(* Only the first call writes, so no call after [wait] touches the pipe.
+   The write cannot block: the pipe is non-blocking and holds at most
+   this one byte, and a failure (EAGAIN included) is ignored. *)
+let request_stop t =
+  if not (Atomic.exchange t.stop true) then
+    try ignore (Unix.single_write_substring t.wake_w "x" 0 1) with Unix.Unix_error _ -> ()
 
 let session_count t =
   Mutex.lock t.smu;
@@ -406,7 +420,9 @@ let session_count t =
 let wait t =
   Option.iter Thread.join t.accept_thread;
   t.accept_thread <- None;
-  (try Unix.close t.lfd with Unix.Unix_error _ -> ());
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ t.lfd; t.wake_r; t.wake_w ];
   (match t.cfg.addr with
   | Wire.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
   | Wire.Tcp _ -> ());

@@ -20,10 +20,13 @@
     before the session closes — its locks release and any queued waiters
     wake, so a dying client cannot strand the lock manager.
 
-    Drain: {!request_stop} (async-signal-safe — an atomic flag) makes the
-    accept loop stop accepting; {!wait} then closes the listener, nudges
-    idle sessions with [Bye], waits for in-flight work, stops the engine
-    and returns the aggregate {!Tavcc_par.Par_engine.result}. *)
+    Drain: {!request_stop} (safe from a signal handler — an atomic flag
+    and one non-blocking byte to a self-pipe) wakes the accept loop,
+    which blocks in [select] on the listener and the pipe with no
+    timeout, and it stops accepting at once; {!wait} then closes the
+    listener, nudges idle sessions with [Bye], waits for in-flight work,
+    stops the engine and returns the aggregate
+    {!Tavcc_par.Par_engine.result}. *)
 
 open Tavcc_lang
 open Tavcc_cc
@@ -58,7 +61,11 @@ val bound_addr : t -> Wire.addr
 (** The actual address — resolves port 0 to the kernel-assigned port. *)
 
 val request_stop : t -> unit
-(** Stop accepting and begin the drain.  Safe from a signal handler. *)
+(** Stop accepting and begin the drain; the accept loop wakes at once.
+    Safe from a signal handler: it sets an atomic flag and, the first
+    time only, writes one byte to a non-blocking pipe, ignoring any
+    error ([EAGAIN] included).  Later calls, even after {!wait}, do
+    nothing. *)
 
 val wait : t -> Tavcc_par.Par_engine.result
 (** Join everything and return the engine's aggregate result.  Blocks

@@ -7,7 +7,7 @@
 
     - {b state sweep}: the engine's [io_hook] snapshots the three
       on-disk files just before {e every} write — WAL force,
-      double-write append, page write, meta write — so each state is
+      double-write slot, page write, meta write — so each state is
       exactly one write on from the one before; each snapshot is
       recovered in a scratch directory and compared against the
       committed-prefix oracle (plus the final cleanly-closed image);

@@ -50,6 +50,7 @@ type obs = {
   c_cache_misses : Tavcc_obs.Metrics.counter;
   c_wal_appends : Tavcc_obs.Metrics.counter;
   c_wal_flushes : Tavcc_obs.Metrics.counter;
+  c_fsyncs : Tavcc_obs.Metrics.counter;
 }
 
 type t = {
@@ -61,8 +62,7 @@ type t = {
   mutable pending : string list; (* encoded, newest first, not yet on disk *)
   mutable records : int; (* in the log, the pending tail included *)
   mutable wal_bytes : int;
-  mutable dblwr_bytes : int;
-  dblwr_buf : Bytes.t; (* the one double-write entry under construction *)
+  dblwr_buf : Bytes.t; (* the double-write slot's next contents *)
   mutable pool : Buffer_pool.t; (* knot-tied after create *)
   dir_tbl : (int, rid) Hashtbl.t;
   extents : (string, int list ref) Hashtbl.t; (* highest oid first *)
@@ -112,7 +112,11 @@ let read_whole fd =
   pread_into fd 0 b;
   Bytes.unsafe_to_string b
 
-let maybe_fsync t fd = if t.cfg.sync = Fsync then Unix.fsync fd
+let maybe_fsync t fd =
+  if t.cfg.sync = Fsync then begin
+    Unix.fsync fd;
+    bump t (fun o -> o.c_fsyncs)
+  end
 
 let hook t pt =
   if t.hooks_on && not t.in_recovery then
@@ -151,36 +155,38 @@ let wal_flush t =
     bump t (fun o -> o.c_wal_flushes)
   end
 
-(* --- double-write buffer --- *)
+(* --- the double-write slot ---
 
-(* [len₈ sum₈ pid₈ image], built in the engine's one entry buffer (a
-   page image fills it exactly) *)
+   dblwr.log holds one entry at offset 0, which every write-back
+   overwrites: a Codec frame of (pid₈, the image's stamped sum₈), then
+   the image.  One slot is enough because a write-back is synchronous —
+   double-write, page write, each forced under [Fsync] — so when the
+   next one overwrites the slot, the page write the slot guarded has
+   returned; only the page write in flight can be torn, and the slot
+   holds its copy.  The image is not hashed again: it is valid when it
+   passes [Page.check] and its stamped sum is the frame's. *)
+
+let dblwr_frame = 32
+
 let dblwr_entry t pid img =
   let b = t.dblwr_buf in
-  let plen = 8 + Bytes.length img in
-  Codec.put_hex8 b 0 plen;
+  Codec.put_hex8 b 0 16;
   Codec.put_hex8 b 16 pid;
-  Bytes.blit img 0 b 24 (Bytes.length img);
-  Codec.put_hex8 b 8 (Codec.fnv32_sub b 16 plen);
+  Bytes.blit img 0 b 24 8;
+  Codec.put_hex8 b 8 (Codec.fnv32_sub b 16 16);
+  Bytes.blit img 0 b dblwr_frame (Bytes.length img);
   b
 
-let dblwr_decode s =
-  (* longest valid prefix of (pid, page image) entries; later entries for
-     the same pid win *)
-  let entries = Hashtbl.create 8 in
-  let b = Bytes.unsafe_of_string s in
-  let rec go pos =
-    match Codec.scan b ~pos ~stop:(Bytes.length b) with
-    | `Frame (off, len) when len >= 8 -> (
-        match int_of_string_opt ("0x" ^ String.sub s off 8) with
-        | Some pid ->
-            Hashtbl.replace entries pid (Bytes.sub b (off + 8) (len - 8));
-            go (off + len)
-        | None -> ())
-    | `Frame _ | `Incomplete | `Corrupt _ -> ()
-  in
-  go 0;
-  entries
+(* The slot's (pid, image) when its frame is whole and the image is the
+   one the frame names; the image is checked by the caller. *)
+let dblwr_slot t =
+  let hdr = Bytes.create dblwr_frame and img = Bytes.create t.cfg.page_size in
+  pread_into t.dblwr_fd 0 hdr;
+  pread_into t.dblwr_fd dblwr_frame img;
+  match Codec.scan hdr ~pos:0 ~stop:dblwr_frame with
+  | `Frame (16, 16) when Bytes.sub_string hdr 24 8 = Bytes.sub_string img 0 8 ->
+      Some (Codec.get_hex8 hdr 16, img)
+  | `Frame _ | `Incomplete | `Corrupt _ -> None
 
 (* --- pages through the pool --- *)
 
@@ -203,9 +209,7 @@ let write_back t pid page =
   wal_flush t;
   Page.stamp page;
   let img = Page.image page in
-  let entry = dblwr_entry t pid img in
-  hooked_write t (Dblwr_write pid) t.dblwr_fd t.dblwr_bytes entry;
-  t.dblwr_bytes <- t.dblwr_bytes + Bytes.length entry;
+  hooked_write t (Dblwr_write pid) t.dblwr_fd 0 (dblwr_entry t pid img);
   maybe_fsync t t.dblwr_fd;
   hooked_write t (Page_write pid) t.data_fd (page_off t pid) img;
   maybe_fsync t t.data_fd;
@@ -415,7 +419,17 @@ let ambient t = match Hashtbl.find_opt t.ambient (ambient_key ()) with Some x ->
 
 (* --- meta page --- *)
 
-let meta_magic = "TVMT"
+(* The meta page is summed like a data page; format 1 magicked it "TVMT"
+   and summed it with FNV-1a/32. *)
+let meta_magic = "TVM2"
+let meta_magic_format1 = "TVMT"
+
+(* No conversion: a format-1 directory is refused, never read. *)
+let format1 what =
+  failwith
+    (Printf.sprintf
+       "Storage: %s is format 1 (FNV-1a/32 page checksums); this build reads format 2 only"
+       what)
 
 let meta_write t =
   let b = Bytes.make t.cfg.page_size '\000' in
@@ -424,7 +438,7 @@ let meta_write t =
       t.next_pid
   in
   Bytes.blit_string payload 0 b 8 (String.length payload);
-  Codec.put_hex8 b 0 (Codec.fnv32_sub b 8 (t.cfg.page_size - 8));
+  Codec.put_hex8 b 0 (Page.checksum b);
   hooked_write t Meta_write t.data_fd 0 b;
   maybe_fsync t t.data_fd
 
@@ -432,16 +446,14 @@ let meta_read ~page_size fd =
   let b = Bytes.create page_size in
   pread_into fd 0 b;
   if Page.is_zero b then None
+  else if Bytes.sub_string b 8 4 = meta_magic_format1 then format1 "the meta page"
+  else if Codec.get_hex8 b 0 <> Page.checksum b then None
+  else if Bytes.sub_string b 8 4 <> meta_magic then None
   else
-    let sum = Bytes.sub_string b 0 8 in
-    if Codec.to_hex8 (Codec.fnv32_sub b 8 (page_size - 8)) <> sum then None
-    else if Bytes.sub_string b 8 4 <> meta_magic then None
-    else
-      let hex pos width = int_of_string_opt ("0x" ^ Bytes.sub_string b pos width) in
-      match (hex 12 8, hex 20 16, hex 36 16, hex 52 16) with
-      | Some ps, Some ckpt, Some noid, Some npid when ps = page_size ->
-          Some (ckpt, noid, npid)
-      | _ -> None
+    let hex pos width = int_of_string_opt ("0x" ^ Bytes.sub_string b pos width) in
+    match (hex 12 8, hex 20 16, hex 36 16, hex 52 16) with
+    | Some ps, Some ckpt, Some noid, Some npid when ps = page_size -> Some (ckpt, noid, npid)
+    | _ -> None
 
 (* --- transactions --- *)
 
@@ -504,7 +516,6 @@ let checkpoint t =
       (* every page the log up to here touches is clean on disk: the
          double-write entries are dead weight now *)
       Unix.ftruncate t.dblwr_fd 0;
-      t.dblwr_bytes <- 0;
       meta_write t;
       bump t (fun o -> o.c_ckpts);
       ignore (hook t Ckpt_end))
@@ -628,19 +639,20 @@ let reconstruct records upto oid =
 let recover_locked t =
   t.in_recovery <- true;
   let ps = t.cfg.page_size in
-  (* 1. the stable log: longest valid prefix; drop any torn tail *)
+  (* 1. meta (torn-tolerant: fall back to full-log redo), read before
+     anything is written, so a format-1 directory is refused untouched *)
+  let ckpt0, noid0, npid0 =
+    match meta_read ~page_size:ps t.data_fd with Some m -> m | None -> (0, 0, 1)
+  in
+  (* 2. the stable log: longest valid prefix; drop any torn tail *)
   let records, consumed = Codec.decode_from (read_whole t.wal_fd) in
   Unix.ftruncate t.wal_fd consumed;
   t.wal_bytes <- consumed;
   t.records <- List.length records;
-  (* 2. meta (torn-tolerant: fall back to full-log redo) *)
-  let ckpt0, noid0, npid0 =
-    match meta_read ~page_size:ps t.data_fd with Some m -> m | None -> (0, 0, 1)
-  in
   t.ckpt_lsn <- min ckpt0 t.records;
   t.next_oid <- noid0;
-  (* 3. double-write repairs for torn pages *)
-  let repairs = dblwr_decode (read_whole t.dblwr_fd) in
+  (* 3. the pages, a torn one repaired from the double-write slot *)
+  let written = ref false in
   let file_pages =
     ((Unix.fstat t.data_fd).Unix.st_size + ps - 1) / ps
   in
@@ -657,12 +669,14 @@ let recover_locked t =
       else
         match Page.of_bytes b with
         | Ok p -> Some p
+        | Error _ when Page.is_format1 b -> format1 (Printf.sprintf "page %d" pid)
         | Error _ -> (
-            match Hashtbl.find_opt repairs pid with
-            | Some img when Bytes.length img = ps -> (
+            match dblwr_slot t with
+            | Some (slot_pid, img) when slot_pid = pid -> (
                 match Page.of_bytes img with
                 | Ok p ->
                     pwrite_at t.data_fd (page_off t pid) img ps;
+                    written := true;
                     Some p
                 | Error e ->
                     failwith
@@ -709,9 +723,14 @@ let recover_locked t =
           Page.delete p slot;
           Page.stamp p;
           pwrite_at t.data_fd (page_off t pid) b ps;
+          written := true;
           Hashtbl.replace t.free pid (Page.insert_capacity p)
       | Error _ -> assert false (* just validated above *))
     !stale;
+  (* the repaired and cleaned pages are durable before the next
+     write-back overwrites the double-write slot, or the closing
+     checkpoint truncates it *)
+  if !written then maybe_fsync t t.data_fd;
   (* extents in creation (= oid) order, newest first *)
   Hashtbl.iter
     (fun oid rid -> extent_add t rid.r_cls oid)
@@ -758,6 +777,7 @@ let create cfg =
           c_cache_misses = c "storage.cache_misses";
           c_wal_appends = c "wal.appends";
           c_wal_flushes = c "wal.flushes";
+          c_fsyncs = c "storage.fsyncs";
         })
       cfg.metrics
   in
@@ -771,8 +791,7 @@ let create cfg =
       pending = [];
       records = 0;
       wal_bytes = 0;
-      dblwr_bytes = 0;
-      dblwr_buf = Bytes.create (24 + cfg.page_size);
+      dblwr_buf = Bytes.create (dblwr_frame + cfg.page_size);
       (* placeholder; the real pool (whose callbacks close over [t]) is
          knot-tied just below, before any page is touched *)
       pool =

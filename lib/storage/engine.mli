@@ -3,17 +3,22 @@
 
     The engine owns three files under its directory:
 
-    - [data.pages] — page 0 is a checksummed meta page (checkpoint LSN,
-      oid/page high-water marks); pages 1.. are {!Page} slotted pages of
-      serialized instances;
+    - [data.pages] — page 0 is a meta page (checkpoint LSN, oid/page
+      high-water marks), summed by {!Page.checksum} like the others;
+      pages 1.. are {!Page} slotted pages of serialized instances.  This
+      is format 2; a format-1 directory (FNV-1a/32 page checksums) is
+      refused at {!create}, not converted;
     - [wal.log] — {!Tavcc_chaos.Codec}-framed {!Tavcc_recovery.Wal}
       records.  Memory holds only the unwritten tail, a count of the
       records, and each active transaction's own changes (its undo
       list), so what the log costs in memory is bounded by in-flight
       work, not by history;
-    - [dblwr.log] — a double-write buffer: every page image lands here
-      (checksummed) before its in-place write, so a torn page write is
-      repaired at recovery.  Truncated at each checkpoint.
+    - [dblwr.log] — a one-slot double-write buffer: every page image
+      lands at its offset 0, framed with its page id and stamped sum,
+      before its in-place write, so a torn page write is repaired at
+      recovery.  Each write-back overwrites the slot; one is enough
+      because a write-back returns only once its page write has (and,
+      under [Fsync], is forced).  Truncated at each checkpoint.
 
     Disciplines enforced:
 
@@ -46,7 +51,7 @@ exception Crashed of string
 type io_point =
   | Wal_write of int  (** forcing this many pending log bytes *)
   | Page_write of int  (** in-place page write (pid) *)
-  | Dblwr_write of int  (** double-write buffer append (pid) *)
+  | Dblwr_write of int  (** double-write slot rewrite (pid) *)
   | Meta_write  (** meta-page rewrite (checkpoint tail) *)
   | Ckpt_begin  (** entering {!checkpoint} (marker; action ignored) *)
   | Ckpt_end  (** leaving {!checkpoint} (marker; action ignored) *)
@@ -70,11 +75,13 @@ type config = {
           any).  [false]: updates are journalled externally via
           {!observe} — inserts and deletes are still always
           self-logged. *)
-  sync : sync;  (** [Fsync] pays for real durability; tests use [Buffered] *)
+  sync : sync;  (** [Fsync] pays for real durability; most tests use [Buffered] *)
   metrics : Tavcc_obs.Metrics.t option;
       (** the engine's counters: [storage.*], and [wal.appends] (records
           appended) and [wal.flushes] (forces that wrote bytes).  Opening
-          counts neither the records it decodes nor a flush. *)
+          counts neither the records it decodes nor a flush.
+          [storage.fsyncs] counts every fsync, which only [Fsync] mode
+          issues. *)
   io_hook : (io_point -> io_action) option;
       (** fault injection; may raise {!Crashed} itself.  Not consulted
           during {!create}'s recovery pass. *)
@@ -88,10 +95,12 @@ type t
 
 val create : config -> t
 (** Opens (or initialises) the directory and runs recovery: decode the
-    log's longest valid prefix (dropping any torn tail), repair torn
-    pages from the double-write buffer, rebuild the oid directory and
-    extents from the pages, redo from the checkpoint LSN, undo losers,
-    then checkpoint.  @raise Failure on unrepairable corruption. *)
+    log's longest valid prefix (dropping any torn tail), repair a torn
+    page from the double-write slot (forcing the pages recovery wrote),
+    rebuild the oid directory and extents from the pages, redo from the
+    checkpoint LSN, undo losers, then checkpoint.
+    @raise Failure on unrepairable corruption, and on a format-1
+    directory, with a message that names the format. *)
 
 val store : t -> 'b Schema.t -> 'b Store.t
 (** The engine behind the standard store API — [Exec], [Par_engine] and

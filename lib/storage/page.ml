@@ -5,8 +5,8 @@ module Codec = Tavcc_chaos.Codec
 
    The whole header is printable hex, same discipline as the chaos
    Codec frames: torn writes tear mid-digit and fail to parse, and a
-   page image diffs cleanly in a hexdump.  The checksum is the Codec's
-   FNV-1a/32. *)
+   page image diffs cleanly in a hexdump.  The checksum is the page's
+   own ({!checksum} below), not the frames' FNV-1a/32. *)
 
 let hex_digits = "0123456789abcdef"
 
@@ -47,12 +47,15 @@ let min_size = 256
 
 (* offsets *)
 let o_sum = 0 (* 8: checksum of [8, size) *)
-let o_magic = 8 (* 4: "TVPG" *)
+let o_magic = 8 (* 4: "TVP2" *)
 let o_lsn = 12 (* 16 *)
 let o_nslots = 28 (* 8 *)
 let o_heap = 36 (* 8: lowest offset used by the record heap *)
 
-let magic = "TVPG"
+let magic = "TVP2"
+
+(* format 1 summed pages with FNV-1a/32 under this magic *)
+let format1_magic = "TVPG"
 
 (* The image and its decoded form side by side.  The header's slot count
    and heap pointer and the slot directory are parsed once, by [clear] or
@@ -234,9 +237,59 @@ let replace t i payload =
 
 let image t = t.buf
 
-let checksum t = Codec.fnv32_sub t.buf 8 (size t - 8)
+(* --- the page checksum ---
 
-let stamp t = Codec.put_hex8 t.buf o_sum (checksum t)
+   Four 32-bit lanes, each an FNV-style chain with a shift mix: the
+   32-bit words of [8, size) go round-robin to the lanes, two 64-bit
+   little-endian loads feeding one word to each lane per 16 bytes; a
+   tail shorter than a word is zero-padded.  Two zero rounds then mix
+   each lane's last word through, and the lanes fold by XOR.  A step
+   is a bijection of the lane for a fixed word (xor, xorshift, multiply
+   by an odd prime, all mod 2^32) and of the word for a fixed lane, so
+   a change confined to one aligned word changes its lane's final
+   value and nothing else: the sum always changes.  The lanes are
+   independent chains, so they run in parallel where FNV-1a's one chain
+   waits on a multiply per byte. *)
+
+let[@inline] step h w =
+  let t = h lxor w in
+  let t = t lxor (t lsr 15) in
+  (t * 0x01000193) land 0xffffffff
+
+(* the word at [pos], zero-padded past the end of [b] *)
+let tail_word b pos =
+  let len = Bytes.length b in
+  if pos + 4 <= len then Int32.to_int (Bytes.get_int32_le b pos) land 0xffffffff
+  else begin
+    let w = ref 0 in
+    for i = len - 1 downto pos do
+      w := (!w lsl 8) lor Char.code (Bytes.unsafe_get b i)
+    done;
+    !w
+  end
+
+let checksum b =
+  let len = Bytes.length b in
+  if len < 8 then invalid_arg "Page.checksum";
+  let h0 = ref 0x811c9dc5 and h1 = ref 0x2f8b63a1 and h2 = ref 0x5c3e71d9 and h3 = ref 0x9a4d0e27 in
+  let stop = len - ((len - 8) land 15) in
+  let i = ref 8 in
+  while !i < stop do
+    let a = Bytes.get_int64_le b !i and c = Bytes.get_int64_le b (!i + 8) in
+    h0 := step !h0 (Int64.to_int a land 0xffffffff);
+    h1 := step !h1 (Int64.to_int (Int64.shift_right_logical a 32));
+    h2 := step !h2 (Int64.to_int c land 0xffffffff);
+    h3 := step !h3 (Int64.to_int (Int64.shift_right_logical c 32));
+    i := !i + 16
+  done;
+  if stop < len then h0 := step !h0 (tail_word b stop);
+  if stop + 4 < len then h1 := step !h1 (tail_word b (stop + 4));
+  if stop + 8 < len then h2 := step !h2 (tail_word b (stop + 8));
+  if stop + 12 < len then h3 := step !h3 (tail_word b (stop + 12));
+  let fin h = step (step h 0) 0 in
+  fin !h0 lxor fin !h1 lxor fin !h2 lxor fin !h3
+
+let stamp t = Codec.put_hex8 t.buf o_sum (checksum t.buf)
 
 (* The directory as the image has it, into the decoded form: every entry
    must parse, every live record must end within the page, and one of
@@ -275,7 +328,7 @@ let check t =
   let r =
     if Bytes.length b < min_size then Error "short page"
     else if Bytes.sub_string b o_magic 4 <> magic then Error "bad magic"
-    else if Codec.get_hex8 b o_sum <> checksum t then Error "bad checksum"
+    else if Codec.get_hex8 b o_sum <> checksum b then Error "bad checksum"
     else
       let ns = get_hex b o_nslots 8 and hp = get_hex b o_heap 8 in
       if ns >= 0 && header_size + (slot_entry * ns) <= hp && hp <= Bytes.length b then
@@ -289,6 +342,8 @@ let check t =
 let of_bytes b =
   let t = wrap b in
   Result.map (fun () -> t) (check t)
+
+let is_format1 b = Bytes.length b >= o_magic + 4 && Bytes.sub_string b o_magic 4 = format1_magic
 
 let rec zero_from b i =
   i >= Bytes.length b || (Bytes.unsafe_get b i = '\000' && zero_from b (i + 1))

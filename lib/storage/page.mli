@@ -8,11 +8,11 @@
     entry stays valid for the record's lifetime on the page.
 
     The header reuses the chaos {!Tavcc_chaos.Codec} discipline: every
-    integer is fixed-width hex, the checksum is the 8-hex
-    FNV-1a/32 of bytes [8, size), so a torn page write is detected at
-    {!check} and repaired from the double-write buffer at recovery.
-    Each slot entry is two 8-hex fields, offset then length; offset 0
-    marks a dead slot.
+    integer is fixed-width hex.  Bytes [0, 8) are the 8-hex {!checksum}
+    of bytes [8, size), and bytes [8, 12) the magic ["TVP2"] of format 2,
+    so a torn page write is detected at {!check} and repaired from the
+    double-write slot at recovery.  Each slot entry is two 8-hex fields,
+    offset then length; offset 0 marks a dead slot.
 
     A page is one [Bytes.t] that IO reads into and writes from directly
     ({!image}): the buffer pool's frames each own one page for their
@@ -75,6 +75,21 @@ val image : t -> bytes
     {!check} or {!clear}: until then the page answers from the form it
     decoded last. *)
 
+val checksum : bytes -> int
+(** The page checksum of bytes [8, length) of an image of any length
+    >= 8 (page sizes need not be a multiple of 16): an unsigned 32-bit
+    value, the same on every host, computed word at a time in place
+    without allocating.  Four 32-bit FNV-style lanes with a shift mix
+    take the little-endian 32-bit words round-robin (a short tail word
+    zero-padded), and fold by XOR.
+
+    Guarantee: a change confined to one 32-bit word at an offset that
+    is a multiple of 4 (the short tail word included) always changes
+    the checksum, whatever its bits.  Other damage (swapped words, a
+    zeroed or torn sector) is caught with the odds of a 32-bit hash.
+    The WAL and wire frames keep {!Tavcc_chaos.Codec.fnv32_sub}.
+    @raise Invalid_argument on an image shorter than 8 bytes *)
+
 val stamp : t -> unit
 (** Writes the checksum of the current contents into the header, making
     {!image} the durable image. *)
@@ -92,6 +107,11 @@ val check : t -> (unit, string) result
 val of_bytes : bytes -> (t, string) result
 (** [b] as a page, without copying (the page aliases [b]), after the
     {!check}s. *)
+
+val is_format1 : bytes -> bool
+(** The image carries the magic of format 1, whose pages were summed
+    with FNV-1a/32.  A store refuses such a page rather than read or
+    repair it: there is no conversion between formats. *)
 
 val is_zero : bytes -> bool
 (** A never-written (sparse-hole) page image; stops at the first

@@ -165,6 +165,38 @@ module Ref_tok = struct
   let frame p = Printf.sprintf "%08x%08x%s" (String.length p) (fnv32 p) p
 end
 
+(* --- the page checksum, spelled out as a reference ---
+
+   What [Tavcc_storage.Page.checksum] must compute, one 32-bit word at a
+   time: the little-endian words of bytes [8, length), the last one
+   zero-padded when short, go round-robin to four lanes; each word steps
+   its lane; two zero steps end each lane; the lanes fold by XOR. *)
+module Ref_page_sum = struct
+  let step h w =
+    let t = h lxor w in
+    let t = t lxor (t lsr 15) in
+    t * 0x01000193 land 0xffffffff
+
+  let sum b =
+    let n = Bytes.length b in
+    let lanes = [| 0x811c9dc5; 0x2f8b63a1; 0x5c3e71d9; 0x9a4d0e27 |] in
+    let word pos =
+      let w = ref 0 in
+      for j = 3 downto 0 do
+        w := (!w lsl 8) lor if pos + j < n then Char.code (Bytes.get b (pos + j)) else 0
+      done;
+      !w
+    in
+    let rec go k pos =
+      if pos < n then begin
+        lanes.(k mod 4) <- step lanes.(k mod 4) (word pos);
+        go (k + 1) (pos + 4)
+      end
+    in
+    go 0 8;
+    Array.fold_left (fun acc h -> acc lxor step (step h 0) 0) 0 lanes
+end
+
 (* Generators for the token codec's edge cases: the int extremes, strings
    made of the characters the codec itself uses, and the odd floats. *)
 module Tok_gen = struct

@@ -535,6 +535,36 @@ let with_server ?(digest = "") ?(scheme_of = Tavcc_cc.Tav_modes.scheme) f =
       finally ();
       raise e
 
+(* [request_stop] wakes the accept loop at once rather than leaving it
+   to a select timeout, so a server with no sessions starts and stops in
+   well under the second that 20 such cycles may take.  Each server runs
+   10 ms first, so its accept loop is parked in [select] when the stop
+   comes. *)
+let test_stop_is_prompt () =
+  let an, store = fixture () in
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to 20 do
+    let path =
+      Printf.sprintf "%s/tavcc-stop-%d-%d.sock" (Filename.get_temp_dir_name ()) (Unix.getpid ()) i
+    in
+    let cfg =
+      {
+        (Server.default_config ~addr:(Wire.Unix_sock path)
+           ~scheme:(Tavcc_cc.Tav_modes.scheme an) ~store)
+        with
+        Server.engine = { Par_engine.default_config with domains = 1; shards = 2 };
+      }
+    in
+    let srv = Server.start cfg in
+    Thread.delay 0.01;
+    Server.request_stop srv;
+    ignore (Server.wait srv);
+    (* a second request after the drain is a no-op *)
+    Server.request_stop srv
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "20 start/stop cycles took %.3f s (< 1 s)" dt) true (dt < 1.0)
+
 let test_e2e_commits () =
   with_server (fun ~addr ~store ~srv:_ ->
       match Client.connect ~recv_timeout_s:10.0 ~addr () with
@@ -723,6 +753,8 @@ let suite =
       test_itxn_rollback_unblocks;
     Alcotest.test_case "itxn: preclaiming scheme refused" `Quick
       test_itxn_unsupported_schemes;
+    Alcotest.test_case "server: stop returns promptly, with no sessions" `Quick
+      test_stop_is_prompt;
     Alcotest.test_case "e2e: pipelined Run jobs all commit" `Quick test_e2e_commits;
     Alcotest.test_case "e2e: interactive begin/stmt/commit" `Quick test_e2e_interactive;
     Alcotest.test_case "e2e: abrupt disconnect mid-txn frees locks" `Quick

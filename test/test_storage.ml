@@ -137,6 +137,118 @@ let prop_page_torn =
       done;
       !ok)
 
+(* --- the page checksum's own promises --- *)
+
+let random_bytes rng n = Bytes.init n (fun _ -> Char.chr (Rng.int rng 256))
+
+let prop_page_sum_reference =
+  QCheck.Test.make ~count:300 ~name:"page checksum equals a reference word loop" seed_arb
+    (fun seed ->
+      let rng = Rng.create seed in
+      (* every size 256..271 in turn, then any size up to 4096: every
+         tail length, including those of sizes not a multiple of 16 *)
+      let size = if seed mod 2 = 0 then 256 + (seed / 2 mod 16) else 256 + Rng.int rng 3841 in
+      let b = random_bytes rng size in
+      Page.checksum b = Ref_page_sum.sum b)
+
+let prop_page_sum_word =
+  QCheck.Test.make ~count:40 ~name:"page checksum: any change to one aligned word is caught"
+    seed_arb (fun seed ->
+      let rng = Rng.create seed in
+      let b = random_bytes rng 512 in
+      let sum = Page.checksum b in
+      let ok = ref true in
+      let pos = ref 8 in
+      while !pos < 512 do
+        let w = Bytes.get_int32_le b !pos in
+        let mask = Int32.of_int (1 + Rng.int rng 0xfffffffe) in
+        Bytes.set_int32_le b !pos (Int32.logxor w mask);
+        if Page.checksum b = sum then ok := false;
+        Bytes.set_int32_le b !pos w;
+        pos := !pos + 4
+      done;
+      !ok)
+
+let prop_page_sum_swap =
+  QCheck.Test.make ~count:100 ~name:"page checksum: two swapped 8-byte words are caught" seed_arb
+    (fun seed ->
+      let rng = Rng.create seed in
+      let size = if Rng.bool rng then 512 else 4096 in
+      let b = random_bytes rng size in
+      let sum = Page.checksum b in
+      let words = (size - 8) / 8 in
+      let ok = ref true in
+      for _ = 1 to 40 do
+        let i = 8 + (8 * Rng.int rng words) and j = 8 + (8 * Rng.int rng words) in
+        let wi = Bytes.get_int64_le b i and wj = Bytes.get_int64_le b j in
+        if wi <> wj then begin
+          Bytes.set_int64_le b i wj;
+          Bytes.set_int64_le b j wi;
+          if Page.checksum b = sum then ok := false;
+          Bytes.set_int64_le b i wi;
+          Bytes.set_int64_le b j wj
+        end
+      done;
+      !ok)
+
+(* A stamped 4 KiB page of records, and a second stamp of it after
+   deletes and more inserts: the two images a torn write mixes. *)
+let two_versions seed =
+  let rng = Rng.create seed in
+  let page = Page.create 4096 in
+  let fill () =
+    for _ = 1 to 12 do
+      ignore (Page.insert page (String.init (40 + Rng.int rng 200) (fun _ -> Char.chr (33 + Rng.int rng 90))))
+    done
+  in
+  fill ();
+  Page.stamp page;
+  let old_img = Bytes.copy (Page.image page) in
+  for s = 0 to Page.nslots page - 1 do
+    if Rng.bool rng then Page.delete page s
+  done;
+  fill ();
+  Page.stamp page;
+  (old_img, Bytes.copy (Page.image page))
+
+let prop_page_sum_sector =
+  QCheck.Test.make ~count:60 ~name:"page checksum: a zeroed or torn 512-byte sector is caught"
+    seed_arb (fun seed ->
+      let old_img, new_img = two_versions seed in
+      let ok = ref true in
+      let refused b = Result.is_error (Page.of_bytes b) in
+      for k = 0 to 7 do
+        (* sector k zeroed, when it was not already *)
+        let z = Bytes.copy new_img in
+        Bytes.fill z (512 * k) 512 '\000';
+        if (not (Bytes.equal z new_img)) && not (refused z) then ok := false;
+        (* the new image torn at boundary k: its first k sectors over the
+           old image *)
+        if k > 0 then begin
+          let torn = Bytes.copy old_img in
+          Bytes.blit new_img 0 torn 0 (512 * k);
+          if (not (Bytes.equal torn new_img)) && not (refused torn) then ok := false
+        end
+      done;
+      !ok)
+
+let test_page_sum_allocates_nothing () =
+  let b = Bytes.init 4096 (fun i -> Char.chr (i * 31 land 255)) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  (* the best of three, so that a thread switch into code that
+     allocates cannot fail the check *)
+  let extra () =
+    words (fun () -> ignore (Sys.opaque_identity (Page.checksum b))) -. words (fun () -> ())
+  in
+  Alcotest.(check (float 0.)) "minor words of 100 checksums of 4 KiB, over an empty loop's" 0.
+    (List.fold_left min infinity [ extra (); extra (); extra () ])
+
 (* A slot entry that is not a record of the heap, under a good checksum:
    [check] must refuse it, not leave every read of the slot to run off
    the image.  By default the entry points past the end of the page. *)
@@ -238,25 +350,27 @@ let prop_page_ops =
 
 (* Placement pinned: the generator's final stamped images for fixed
    seeds, at both page sizes the store uses.  Which slot a record gets
-   and where compaction moves it are part of the on-disk format. *)
+   and where compaction moves it are part of the on-disk format.  The
+   digests cover each image from byte 12, past the checksum and the
+   magic, so they pin placement whatever the page format's sum. *)
 let pinned_page_images =
   [
-    (512, 1, "5b1c3f68bf10c74e72003e15736d0e8f");
-    (512, 2, "162c59cb1369f6605eab826eb14fc84a");
-    (512, 3, "00c71852609e0698b7b5085ccc5b4262");
-    (512, 4, "adfbcccdb4029b7d4fc9a7ff87f9bfec");
-    (512, 5, "9223edc8a6f49460b60b4597eb1ad36a");
-    (512, 6, "a2f0c52993edd0c9ecfe4a49a54e2344");
-    (512, 7, "0334d55418937dff88379ee480050bcb");
-    (512, 8, "f98c974f9264dceb329da39599e2a095");
-    (4096, 1, "430b3909c89cbce5b005d68016225c25");
-    (4096, 2, "d13ab5b5ed9bda3e624fe006d07d67f2");
-    (4096, 3, "c24fd94bdcf5e68506bfd1561570b182");
-    (4096, 4, "89b9d1c69b1b1a41d7afd9bdc5001c06");
-    (4096, 5, "ff5b83a3df3d11136a8ca42174d44241");
-    (4096, 6, "ded293824d237ba41dda968002a1f155");
-    (4096, 7, "fafd41ab7c69f90a0e7667d42235672c");
-    (4096, 8, "f309ca0137ef580f086f50b7eb82c89a");
+    (512, 1, "1559c5b4db0f5c6f68f42827fe5365ed");
+    (512, 2, "f684d913f8b80af6465110588b92ddde");
+    (512, 3, "a2a7c3d4d295b13c0c22685b29885ef5");
+    (512, 4, "0eab863aa3ddc32ab7f8d577412486d4");
+    (512, 5, "c26f58d7e03da51aed097393c9e232b1");
+    (512, 6, "91bf5ba8723e6b62c2986b81841836e0");
+    (512, 7, "6acf5ca588d76d1ece5f7f6f2cbd70c0");
+    (512, 8, "ccaf6554930f3d65aae905a6f275cb02");
+    (4096, 1, "8d20f2a11d761950c95cf04329d78933");
+    (4096, 2, "78cf00165a4c042407246c4f55b8ad12");
+    (4096, 3, "882f4c477fe8c006d4c11b6fe9853b7e");
+    (4096, 4, "b689a5628478c5fe66bd1a110944bb85");
+    (4096, 5, "0e656170947c6f67126c16570e6ebddd");
+    (4096, 6, "8214feefff9f9737a5d52e4e022fe5c2");
+    (4096, 7, "385273ecbd6832f55b8982457ac3df0c");
+    (4096, 8, "623ce162787cf8d6b85f3ab515bf3dd5");
   ]
 
 let test_page_placement_pinned () =
@@ -266,7 +380,7 @@ let test_page_placement_pinned () =
       let label = Printf.sprintf "%d-byte page, seed %d" size seed in
       Alcotest.(check bool) (label ^ ": model and image agree") true ok;
       Alcotest.(check string) (label ^ ": image digest") want
-        (Digest.to_hex (Digest.bytes (Page.image page))))
+        (Digest.to_hex (Digest.bytes (Bytes.sub (Page.image page) 12 (size - 12)))))
     pinned_page_images
 
 (* --- buffer pool invariants --- *)
@@ -731,6 +845,178 @@ let test_engine_bad_slot_page () =
         (Failure "Storage: page 1 corrupt with no dblwr copy") (fun () ->
           ignore (Engine.create cfg)))
 
+(* The double-write slot repairs a torn page only with the image its
+   frame names: a frame whose stamped sum is not its image's (a slot
+   write torn after the frame, over an older entry) is no copy at all. *)
+let test_dblwr_slot_verified () =
+  with_dir "dblwr_slot" (fun dir ->
+      let schema = storage_schema () in
+      let cfg = small_config dir in
+      let ps = cfg.Engine.page_size in
+      let eng = Engine.create cfg in
+      let store = Engine.store eng schema in
+      List.iter
+        (fun i ->
+          ignore
+            (Store.new_instance
+               ~init:[ (fn "qty", Value.Vint i); (fn "label", Value.Vstring (String.make 300 'x')) ]
+               store (cn "item")))
+        [ 1; 2 ];
+      Engine.close eng;
+      let path name = Filename.concat dir name in
+      let data = In_channel.with_open_bin (path "data.pages") In_channel.input_all in
+      let page pid = Bytes.of_string (String.sub data (pid * ps) ps) in
+      let slot pid img = Codec.frame (Codec.to_hex8 pid ^ Bytes.sub_string img 0 8) ^ Bytes.to_string img in
+      let reopen_with dblwr =
+        (* page 1 torn: its second half zeroed *)
+        let torn = page 1 in
+        Bytes.fill torn (ps / 2) (ps / 2) '\000';
+        let fd = Unix.openfile (path "data.pages") [ Unix.O_WRONLY ] 0 in
+        ignore (Unix.lseek fd ps Unix.SEEK_SET);
+        ignore (Unix.write fd torn 0 ps);
+        Unix.close fd;
+        Out_channel.with_open_bin (path "dblwr.log") (fun oc -> Out_channel.output_string oc dblwr);
+        Engine.create cfg
+      in
+      let mismatched = Bytes.to_string (Bytes.sub (Bytes.of_string (slot 1 (page 1))) 0 32) in
+      Alcotest.check_raises "a frame over another page's image repairs nothing"
+        (Failure "Storage: page 1 corrupt with no dblwr copy") (fun () ->
+          ignore (reopen_with (mismatched ^ Bytes.to_string (page 2))));
+      let eng = reopen_with (slot 1 (page 1)) in
+      Alcotest.(check int) "the named image repairs the page" 2
+        (Store.instance_count (Engine.store eng schema));
+      Engine.close eng)
+
+(* --- format 1 is refused, never read ---
+
+   Format 1 summed the meta page and every data page with FNV-1a/32,
+   which stays the WAL and wire frames' checksum, under the magics
+   "TVMT" and "TVPG".  These images are built by hand the way it did. *)
+
+let format1_sum b = Codec.put_hex8 b 0 (Codec.fnv32_sub b 8 (Bytes.length b - 8))
+
+let format1_meta ps =
+  let b = Bytes.make ps '\000' in
+  let payload = Printf.sprintf "TVMT%08x%016x%016x%016x" ps 0 1 2 in
+  Bytes.blit_string payload 0 b 8 (String.length payload);
+  format1_sum b;
+  b
+
+let format1_page ps =
+  let page = Page.create ps in
+  ignore
+    (Page.insert page
+       (Page.Rec.encode
+          { Page.Rec.r_oid = 0; r_cls = "item"; r_slots = [| ("qty", Value.Vint 7); ("label", Value.Vnull) |] }));
+  let b = Page.image page in
+  Bytes.blit_string "TVPG" 0 b 8 4;
+  format1_sum b;
+  b
+
+let test_format1_refused () =
+  let cfg dir = small_config dir in
+  let ps = (cfg "").Engine.page_size in
+  (* a torn meta page: the first 10 bytes of its write, sum and half the
+     magic, over a never-written page *)
+  let torn_meta = Bytes.make ps '\000' in
+  Bytes.blit (format1_meta ps) 0 torn_meta 0 10;
+  List.iter
+    (fun (name, meta, want) ->
+      with_dir name (fun dir ->
+          Sys.mkdir dir 0o755;
+          Out_channel.with_open_bin (Filename.concat dir "data.pages") (fun oc ->
+              Out_channel.output_bytes oc meta;
+              Out_channel.output_bytes oc (format1_page ps));
+          match Engine.create (cfg dir) with
+          | eng ->
+              Engine.close eng;
+              Alcotest.failf "%s: a format-1 directory opened" name
+          | exception Failure msg ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %S names the format and what carried it" name msg)
+                true
+                (contains msg "format 1" && contains msg want)))
+    [ ("format1_meta", format1_meta ps, "meta page"); ("format1_torn_meta", torn_meta, "page 1") ]
+
+(* --- fsyncs, counted in [Fsync] mode ---
+
+   Each step's count is pinned, so dropping any of the engine's forces
+   fails here: the WAL force at commit and before a write-back, the
+   double-write and the page write of a write-back, the meta page at a
+   checkpoint, and recovery's force of the page it repaired. *)
+
+let test_fsync_counts () =
+  with_dir "fsync_counts" (fun dir ->
+      let schema = storage_schema () in
+      let tear = ref false in
+      let io_hook = function
+        | Engine.Page_write _ when !tear -> Engine.Torn 100
+        | _ -> Engine.Proceed
+      in
+      let open_engine pool_pages =
+        let m = Tavcc_obs.Metrics.create () in
+        let cfg =
+          { (small_config dir) with pool_pages; sync = Engine.Fsync; metrics = Some m; io_hook = Some io_hook }
+        in
+        let eng = Engine.create cfg in
+        let c = Tavcc_obs.Metrics.counter m in
+        let count () = Tavcc_obs.Metrics.value (c "storage.fsyncs") in
+        let writes () = Tavcc_obs.Metrics.value (c "storage.page_writes") in
+        (eng, Engine.store eng schema, count, writes)
+      in
+      let eng, store, fsyncs, writes = open_engine 2 in
+      let step label want f =
+        let n0 = fsyncs () in
+        f ();
+        Alcotest.(check int) (label ^ ": fsyncs") want (fsyncs () - n0)
+      in
+      (* one 300-byte record fills a 512-byte page: two pages, both
+         resident in the two frames *)
+      let item i =
+        Store.new_instance
+          ~init:[ (fn "qty", Value.Vint i); (fn "label", Value.Vstring (String.make 300 'x')) ]
+          store (cn "item")
+      in
+      let a = item 1 in
+      let b = item 2 in
+      Engine.checkpoint eng;
+      step "a commit that evicts nothing forces the WAL once" 1 (fun () ->
+          Engine.begin_txn eng 1;
+          Store.write store a (fn "qty") (Value.Vint 10);
+          Store.write store b (fn "qty") (Value.Vint 20);
+          Engine.commit eng 1);
+      Engine.begin_txn eng 2;
+      let w0 = writes () in
+      (* a third page evicts a dirty one: WAL force, double-write, page *)
+      let c = ref a in
+      step "one write-back" 3 (fun () -> c := item 3);
+      Alcotest.(check int) "exactly one write-back" 1 (writes () - w0);
+      step "commit" 1 (fun () -> Engine.commit eng 2);
+      (* two dirty pages (two of each write-back's forces; the WAL is
+         forced already), the Checkpoint record, the meta page *)
+      step "checkpoint" 6 (fun () -> Engine.checkpoint eng);
+      (* two frames hold two of the three pages: writing all three in one
+         transaction evicts a dirty page by the third write at the latest,
+         and that page write tears *)
+      Engine.begin_txn eng 3;
+      tear := true;
+      (match List.iter (fun o -> Store.write store o (fn "qty") (Value.Vint 99)) [ a; b; !c ] with
+      | () -> Alcotest.fail "no page write tore"
+      | exception Engine.Crashed _ -> ());
+      tear := false;
+      Engine.abandon eng;
+      (* four frames this time, so recovery evicts nothing: the repaired
+         page's force, then the closing checkpoint's — the WAL with the
+         loser's compensations, two for each of the three pages redo and
+         undo dirtied, the Checkpoint record, the meta page *)
+      let eng, store, fsyncs, writes = open_engine 4 in
+      Alcotest.(check int) "reopen: pages written back" 3 (writes ());
+      Alcotest.(check int) "reopen: fsyncs" (1 + 1 + (2 * 3) + 1 + 1) (fsyncs ());
+      Alcotest.(check (list value)) "the loser is rolled back"
+        [ Value.Vint 10; Value.Vint 20; Value.Vint 3 ]
+        (List.map (fun o -> Store.read store o (fn "qty")) [ a; b; !c ]);
+      Engine.close eng)
+
 (* --- the crash matrix --- *)
 
 let matrix_config ~dir ~seed =
@@ -769,39 +1055,39 @@ let test_matrix_abort_create_delete () = matrix_seeds_ok [ 50631; 540531 ]
    the seeded transactions dirtied. *)
 let pinned_digests =
   [
-    (1, "f:;cf:20", "725088c6c86afc7c27ee4a1776044944");
-    (1, "f:;torn:30:9", "bdac613c07c92edb062cdf3d76513060");
-    (1, "f:;cpw:60", "12e0ab255ce1fd17060e799d9950a17c");
-    (1, "f:;tpg:80:17", "c4517dbdbc21c23f8fad119fc803178f");
-    (1, "f:;cf:400", "10478467c0495c49f6a16079e3916afc");
-    (42, "f:;cf:20", "c6b0d9cc8c2441519f6a3123b744150a");
-    (42, "f:;torn:30:9", "035fd8d11c654733a57bc670296e1dce");
-    (42, "f:;cpw:60", "ef8df194a3bc1af68d277cd0f6459f94");
-    (42, "f:;tpg:80:17", "2179437df03aab8192666378edda86a7");
-    (42, "f:;cf:400", "0ac146cc5796fc40f7e2ac63ea1e1fe0");
-    (99, "f:;cf:20", "c2db6b477b37f423d345b01fb5454e8e");
-    (99, "f:;torn:30:9", "2fd243e033b687734bec53e5c67f2956");
-    (99, "f:;cpw:60", "6f580457eb69a34fb02d34bf8a8da6e5");
-    (99, "f:;tpg:80:17", "b40d31099be305c482f62f4f46ef9690");
-    (99, "f:;cf:400", "6c7ee78f877ffff1d3f36991c2530976");
-    (521383, "f:;cf:20", "5bd9a35d9e48d6010788678d1a329550");
-    (521383, "f:;torn:30:9", "65d08b304166723f5325001e77b5b620");
-    (521383, "f:;cpw:60", "ec7891eb2b6b7e601ff26e5df439a41a");
-    (521383, "f:;tpg:80:17", "3c5a6f6dfce704071df3b9aaef30a633");
-    (521383, "f:;cf:400", "512e2fe55571740872fb2774c48e211b");
-    (50631, "f:;cf:20", "694f1ccc67ccf9f70804042cd051b676");
-    (50631, "f:;torn:30:9", "f0aef15d4c9fba3d5bbd014b148e5f70");
-    (50631, "f:;cpw:60", "21bceaa168e28fbabf04994304f2b788");
-    (50631, "f:;tpg:80:17", "dc1b49eee7795e8cd9e6bd4166c6c908");
-    (50631, "f:;cf:400", "83263b373dd54e91c330fb0a6f46b141");
-    (42, "f:;cck:1", "dbacc9f0a73e4d52a9791d73648d37bf");
-    (42, "f:;cck:9", "c2bc1415889e08586c3d6fae29688301");
-    (1, "f:;cck:40", "c609eef5847e684cf0911718baa49bef");
-    (42, "f:;cck:40", "3368351ce2f3a94c2b9c42f69a375a7b");
-    (99, "f:;cck:40", "4c34579015915c6f92a03abd27f97fbd");
-    (1, "f:;cck:52", "1023a5a5c95c35563a56fe8268b43194");
-    (42, "f:;cck:52", "fa210c83bd6b6a3f9fad80fd6d58f959");
-    (99, "f:;cck:52", "56cd8277c241dab851013e9f6b547c46");
+    (1, "f:;cf:20", "9aeff9e8a6736729202e3dafe54f26a0");
+    (1, "f:;torn:30:9", "b234a291ed4493d3a21b8b91123f3e07");
+    (1, "f:;cpw:60", "7e4c261ea60af80c8cb068047e6f5ff0");
+    (1, "f:;tpg:80:17", "318f0fb668aad35374b65bb147f5eac6");
+    (1, "f:;cf:400", "899d25110f1c6a5c0359cec5acff6cd0");
+    (42, "f:;cf:20", "ffbdacd2a08101556ec5b4b3f43dc161");
+    (42, "f:;torn:30:9", "d4c664924af8e0da86768f4df09c516e");
+    (42, "f:;cpw:60", "c138ad6b8b5138bcb5eed75f798c6c45");
+    (42, "f:;tpg:80:17", "e17825289e103bdcb001cb9b3b688b86");
+    (42, "f:;cf:400", "161a8d862dff54a03981478c7f772dad");
+    (99, "f:;cf:20", "4d4b8298d96e96a3a9ea92c4ecdcccf1");
+    (99, "f:;torn:30:9", "e1be9816ca51b7451c2bd1dce9dd7370");
+    (99, "f:;cpw:60", "adf14fc801663bdcb2a499b578dd7978");
+    (99, "f:;tpg:80:17", "3f8360a2a8922ef67151fd0cc4e14f81");
+    (99, "f:;cf:400", "a81dcadd24e836284994e1973f8b97c1");
+    (521383, "f:;cf:20", "d514686e07332aaeadb54870a3ff2562");
+    (521383, "f:;torn:30:9", "88966a8c57854ce8412bf42498cbe6ab");
+    (521383, "f:;cpw:60", "c7230a92b7b1b5009294416c57bd2635");
+    (521383, "f:;tpg:80:17", "66209e9e6d36eb6c9c184a27c048309b");
+    (521383, "f:;cf:400", "50aee34427d6ca832d01a7baf1eb70de");
+    (50631, "f:;cf:20", "829df0bcc679776c5eb8fada0f04a664");
+    (50631, "f:;torn:30:9", "ccd9532df00b1c753293bf21e679583b");
+    (50631, "f:;cpw:60", "4ac2ff21faedbc3459b9930f2c73c65b");
+    (50631, "f:;tpg:80:17", "bdf74310e1bb8647b119e19537aaef3d");
+    (50631, "f:;cf:400", "97716c43dd44b5705bf0e3c6e2658321");
+    (42, "f:;cck:1", "1c3cdffddf88c6217c9310c2af8d6544");
+    (42, "f:;cck:9", "3de7b024ca4079ba2df5afdffab5638b");
+    (1, "f:;cck:40", "5596c0779fb69e74076ca732be74c18b");
+    (42, "f:;cck:40", "f69425be93b67cd8fb2ef8f28b621b1a");
+    (99, "f:;cck:40", "95388fc3ffb46ddb78f05961cdb79daa");
+    (1, "f:;cck:52", "4a61d7bc6874642ba160e42814a88cdc");
+    (42, "f:;cck:52", "ea805d8ff90debf42d53a88b81b904d1");
+    (99, "f:;cck:52", "74200b672de447d774e1aaa66489b9f6");
   ]
 
 let test_matrix_pinned_digests () =
@@ -940,6 +1226,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rec_splice;
     QCheck_alcotest.to_alcotest prop_page_bitflip;
     QCheck_alcotest.to_alcotest prop_page_torn;
+    QCheck_alcotest.to_alcotest prop_page_sum_reference;
+    QCheck_alcotest.to_alcotest prop_page_sum_word;
+    QCheck_alcotest.to_alcotest prop_page_sum_swap;
+    QCheck_alcotest.to_alcotest prop_page_sum_sector;
+    Alcotest.test_case "page: a 4 KiB checksum allocates nothing" `Quick
+      test_page_sum_allocates_nothing;
     Alcotest.test_case "page: a slot entry outside the page fails check" `Quick
       test_page_bad_slot;
     QCheck_alcotest.to_alcotest prop_page_ops;
@@ -966,6 +1258,12 @@ let suite =
       test_restart_undo_survives_closing_crash;
     Alcotest.test_case "engine: a bad slot entry is a corrupt page at reopen" `Quick
       test_engine_bad_slot_page;
+    Alcotest.test_case "engine: the double-write slot repairs only the image it names" `Quick
+      test_dblwr_slot_verified;
+    Alcotest.test_case "engine: a format-1 directory is refused by name" `Quick
+      test_format1_refused;
+    Alcotest.test_case "engine: fsyncs per step are pinned in Fsync mode" `Quick
+      test_fsync_counts;
     Alcotest.test_case "crash matrix: smoke" `Quick test_matrix_smoke;
     Alcotest.test_case "crash matrix: crash in the closing checkpoint" `Quick
       test_matrix_crash_in_close;
