@@ -64,6 +64,20 @@ let direct_major_words () =
   let s = Gc.quick_stat () in
   s.Gc.major_words -. s.Gc.promoted_words
 
+(* The minor words 100 calls of [f] allocate over an empty loop's, the
+   best of three runs, so that a thread switch into code that allocates
+   cannot fail a check for zero. *)
+let extra_minor_words f =
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let extra () = words f -. words (fun () -> ()) in
+  List.fold_left min infinity [ extra (); extra (); extra () ]
+
 (* Naive substring search, sufficient for matching diagnostics. *)
 let contains s sub =
   let n = String.length s and m = String.length sub in

@@ -164,21 +164,8 @@ let prop_fnv_reference =
 
 let test_fnv_allocates_nothing () =
   let b = Bytes.init 4096 (fun i -> Char.chr (i * 31 land 255)) in
-  let words f =
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 100 do
-      f ()
-    done;
-    Gc.minor_words () -. w0
-  in
-  (* the best of three, so that a thread switch into code that
-     allocates cannot fail the check *)
-  let extra () =
-    words (fun () -> ignore (Sys.opaque_identity (Codec.fnv32_sub b 0 4096)))
-    -. words (fun () -> ())
-  in
   Alcotest.(check (float 0.)) "minor words of 100 checksums of 4 KiB, over an empty loop's" 0.
-    (List.fold_left min infinity [ extra (); extra (); extra () ])
+    (extra_minor_words (fun () -> ignore (Sys.opaque_identity (Codec.fnv32_sub b 0 4096))))
 
 (* --- torn-tail recovery through the manager (satellite: WAL cut
    mid-record recovers the longest valid prefix) --- *)

@@ -145,8 +145,9 @@ let prop_page_sum_reference =
   QCheck.Test.make ~count:300 ~name:"page checksum equals a reference word loop" seed_arb
     (fun seed ->
       let rng = Rng.create seed in
-      (* every size 256..271 in turn, then any size up to 4096: every
-         tail length, including those of sizes not a multiple of 16 *)
+      (* even seeds take a size in 256..271, whose 16 sizes give every
+         tail length (sizes not a multiple of 16 included); odd seeds
+         any size up to 4096 *)
       let size = if seed mod 2 = 0 then 256 + (seed / 2 mod 16) else 256 + Rng.int rng 3841 in
       let b = random_bytes rng size in
       Page.checksum b = Ref_page_sum.sum b)
@@ -234,20 +235,8 @@ let prop_page_sum_sector =
 
 let test_page_sum_allocates_nothing () =
   let b = Bytes.init 4096 (fun i -> Char.chr (i * 31 land 255)) in
-  let words f =
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 100 do
-      f ()
-    done;
-    Gc.minor_words () -. w0
-  in
-  (* the best of three, so that a thread switch into code that
-     allocates cannot fail the check *)
-  let extra () =
-    words (fun () -> ignore (Sys.opaque_identity (Page.checksum b))) -. words (fun () -> ())
-  in
   Alcotest.(check (float 0.)) "minor words of 100 checksums of 4 KiB, over an empty loop's" 0.
-    (List.fold_left min infinity [ extra (); extra (); extra () ])
+    (extra_minor_words (fun () -> ignore (Sys.opaque_identity (Page.checksum b))))
 
 (* A slot entry that is not a record of the heap, under a good checksum:
    [check] must refuse it, not leave every read of the slot to run off
