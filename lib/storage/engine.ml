@@ -203,16 +203,20 @@ let load_page t pid page =
     | Ok () -> ()
     | Error e -> failwith (Printf.sprintf "Storage: corrupt page %d (%s)" pid e)
 
+(* A stamped image onto page [pid] through the slot: while the page
+   write is in flight, the slot holds its image. *)
+let double_write t pid img =
+  hooked_write t (Dblwr_write pid) t.dblwr_fd 0 (dblwr_entry t pid img);
+  maybe_fsync t t.dblwr_fd;
+  hooked_write t (Page_write pid) t.data_fd (page_off t pid) img;
+  maybe_fsync t t.data_fd
+
 let write_back t pid page =
   (* WAL-before-data: the log must be stable past the page's LSN before
      the page image may replace the one on disk. *)
   wal_flush t;
   Page.stamp page;
-  let img = Page.image page in
-  hooked_write t (Dblwr_write pid) t.dblwr_fd 0 (dblwr_entry t pid img);
-  maybe_fsync t t.dblwr_fd;
-  hooked_write t (Page_write pid) t.data_fd (page_off t pid) img;
-  maybe_fsync t t.data_fd;
+  double_write t pid (Page.image page);
   bump t (fun o -> o.c_page_writes)
 
 (* --- in-memory maps --- *)
@@ -652,7 +656,7 @@ let recover_locked t =
   t.ckpt_lsn <- min ckpt0 t.records;
   t.next_oid <- noid0;
   (* 3. the pages, a torn one repaired from the double-write slot *)
-  let written = ref false in
+  let repaired = ref false in
   let file_pages =
     ((Unix.fstat t.data_fd).Unix.st_size + ps - 1) / ps
   in
@@ -676,7 +680,7 @@ let recover_locked t =
                 match Page.of_bytes img with
                 | Ok p ->
                     pwrite_at t.data_fd (page_off t pid) img ps;
-                    written := true;
+                    repaired := true;
                     Some p
                 | Error e ->
                     failwith
@@ -713,8 +717,13 @@ let recover_locked t =
             | None -> failwith (Printf.sprintf "Storage: page %d slot %d undecodable" pid slot));
         Hashtbl.replace t.free pid (Page.insert_capacity p)
   done;
+  (* the repaired page is durable before a cleanup below or the next
+     write-back overwrites the slot that holds its copy, or the closing
+     checkpoint truncates it *)
+  if !repaired then maybe_fsync t t.data_fd;
   (* physically drop the stale copies before anything goes through the
-     pool, then refresh the free hints of the touched pages *)
+     pool, each page through the slot as a write-back goes, then refresh
+     the free hints of the touched pages *)
   List.iter
     (fun (pid, slot) ->
       pread_into t.data_fd (page_off t pid) b;
@@ -722,15 +731,10 @@ let recover_locked t =
       | Ok p ->
           Page.delete p slot;
           Page.stamp p;
-          pwrite_at t.data_fd (page_off t pid) b ps;
-          written := true;
+          double_write t pid b;
           Hashtbl.replace t.free pid (Page.insert_capacity p)
       | Error _ -> assert false (* just validated above *))
     !stale;
-  (* the repaired and cleaned pages are durable before the next
-     write-back overwrites the double-write slot, or the closing
-     checkpoint truncates it *)
-  if !written then maybe_fsync t t.data_fd;
   (* extents in creation (= oid) order, newest first *)
   Hashtbl.iter
     (fun oid rid -> extent_add t rid.r_cls oid)

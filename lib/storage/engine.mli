@@ -96,9 +96,10 @@ type t
 val create : config -> t
 (** Opens (or initialises) the directory and runs recovery: decode the
     log's longest valid prefix (dropping any torn tail), repair a torn
-    page from the double-write slot (forcing the pages recovery wrote),
-    rebuild the oid directory and extents from the pages, redo from the
-    checkpoint LSN, undo losers, then checkpoint.
+    page from the double-write slot (forcing it), rebuild the oid
+    directory and extents from the pages (a record on two pages loses
+    the copy on the lower-LSN one, whose page is rewritten through the
+    slot), redo from the checkpoint LSN, undo losers, then checkpoint.
     @raise Failure on unrepairable corruption, and on a format-1
     directory, with a message that names the format. *)
 

@@ -876,6 +876,64 @@ let test_dblwr_slot_verified () =
         (Store.instance_count (Engine.store eng schema));
       Engine.close eng)
 
+(* A record on two pages — it migrated, and a crash caught only the
+   destination's write-back — loses the copy on the lower-LSN page at
+   reopen, and that page is rewritten through the double-write slot as a
+   write-back is, so a crash inside the rewrite leaves the slot naming
+   it.  In [Fsync] mode the rewrite costs the slot's force and the
+   page's, before the closing checkpoint's two. *)
+let test_stale_copy_dropped () =
+  with_dir "stale_copy" (fun dir ->
+      let schema = storage_schema () in
+      let cfg = small_config dir in
+      let ps = cfg.Engine.page_size in
+      let eng = Engine.create cfg in
+      let store = Engine.store eng schema in
+      let item i =
+        Store.new_instance
+          ~init:[ (fn "qty", Value.Vint i); (fn "label", Value.Vstring (String.make 300 'x')) ]
+          store (cn "item")
+      in
+      let a = item 1 in
+      let b = item 2 in
+      Engine.close eng;
+      let path = Filename.concat dir "data.pages" in
+      let read_page pid =
+        let data = In_channel.with_open_bin path In_channel.input_all in
+        match Page.of_bytes (Bytes.of_string (String.sub data (pid * ps) ps)) with
+        | Ok p -> p
+        | Error e -> Alcotest.failf "page %d: %s" pid e
+      in
+      let oids_on p =
+        let l = ref [] in
+        Page.iter p (fun _ payload ->
+            match Page.Rec.decode payload with
+            | Some r -> l := r.Page.Rec.r_oid :: !l
+            | None -> Alcotest.fail "undecodable record");
+        List.sort compare !l
+      in
+      let a_page = read_page 1 in
+      Alcotest.(check (list int)) "a alone on page 1" [ Oid.to_int a ] (oids_on a_page);
+      (* page 3: a's record again, under a higher LSN than page 1's *)
+      let copy = Page.create ps in
+      Page.iter a_page (fun _ payload -> ignore (Page.insert copy payload));
+      Page.set_lsn copy (Page.lsn a_page + 1);
+      Page.stamp copy;
+      Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0 path (fun oc ->
+          Out_channel.seek oc (Int64.of_int (3 * ps));
+          Out_channel.output_bytes oc (Page.image copy));
+      let m = Tavcc_obs.Metrics.create () in
+      let eng = Engine.create { cfg with sync = Engine.Fsync; metrics = Some m } in
+      Alcotest.(check int) "reopen: fsyncs" (2 + 1 + 1)
+        (Tavcc_obs.Metrics.value (Tavcc_obs.Metrics.counter m "storage.fsyncs"));
+      let store = Engine.store eng schema in
+      Alcotest.(check int) "one instance per oid" 2 (Store.instance_count store);
+      Alcotest.(check (list value)) "both read back" [ Value.Vint 1; Value.Vint 2 ]
+        (List.map (fun o -> Store.read store o (fn "qty")) [ a; b ]);
+      Engine.close eng;
+      Alcotest.(check (list int)) "the stale copy is gone" [] (oids_on (read_page 1));
+      Alcotest.(check (list int)) "the live copy stays" [ Oid.to_int a ] (oids_on (read_page 3)))
+
 (* --- format 1 is refused, never read ---
 
    Format 1 summed the meta page and every data page with FNV-1a/32,
@@ -1249,6 +1307,8 @@ let suite =
       test_engine_bad_slot_page;
     Alcotest.test_case "engine: the double-write slot repairs only the image it names" `Quick
       test_dblwr_slot_verified;
+    Alcotest.test_case "engine: a stale record copy is dropped through the slot" `Quick
+      test_stale_copy_dropped;
     Alcotest.test_case "engine: a format-1 directory is refused by name" `Quick
       test_format1_refused;
     Alcotest.test_case "engine: fsyncs per step are pinned in Fsync mode" `Quick
