@@ -157,9 +157,10 @@ let wal_flush t =
 
 (* --- the double-write slot ---
 
-   dblwr.log holds one entry at offset 0, which every write-back
-   overwrites: a Codec frame of (pid₈, the image's stamped sum₈), then
-   the image.  One slot is enough because a write-back is synchronous —
+   dblwr.log holds one entry at offset 0, which every write-back (and
+   recovery's rewrite of a page that held a stale copy) overwrites: a
+   Codec frame of (pid₈, the image's stamped sum₈), then the image.  One
+   slot is enough because a write-back is synchronous —
    double-write, page write, each forced under [Fsync] — so when the
    next one overwrites the slot, the page write the slot guarded has
    returned; only the page write in flight can be torn, and the slot
