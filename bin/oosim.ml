@@ -419,12 +419,8 @@ let par_cmd =
           let store = Store.create schema in
           Workload.populate store ~per_class:instances;
           let jobs =
-            if read_frac > 0. then
-              Workload.mixed_slice_jobs (Rng.create (seed + 1)) store ~txns
-                ~actions_per_txn:actions ~hot_instances:hot ~read_frac
-            else
-              Workload.slice_jobs (Rng.create (seed + 1)) store ~txns
-                ~actions_per_txn:actions ~hot_instances:hot
+            Workload.mixed_slice_jobs (Rng.create (seed + 1)) store ~txns
+              ~actions_per_txn:actions ~hot_instances:hot ~read_frac
           in
           let metrics =
             if metrics_fmt <> None || prom_out <> None then Some (Metrics.create ())
@@ -786,12 +782,8 @@ let top_cmd =
                 let store = Store.create schema in
                 Workload.populate store ~per_class:instances;
                 let jobs =
-                  if read_frac > 0. then
-                    Workload.mixed_slice_jobs (Rng.create (seed + it)) store ~txns
-                      ~actions_per_txn:actions ~hot_instances:hot ~read_frac
-                  else
-                    Workload.slice_jobs (Rng.create (seed + it)) store ~txns
-                      ~actions_per_txn:actions ~hot_instances:hot
+                  Workload.mixed_slice_jobs (Rng.create (seed + it)) store ~txns
+                    ~actions_per_txn:actions ~hot_instances:hot ~read_frac
                 in
                 let r = Par_engine.run ~config ~scheme:(mk an) ~store ~jobs () in
                 Atomic.set last (Some r)
@@ -1478,19 +1470,6 @@ let addr_conv =
   in
   Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Wire.addr_to_string a))
 
-(* serve and blast must agree on the workload store byte for byte:
-   [Workload.populate] is deterministic, so pinning (slices, work,
-   readers, instances) — the digest — guarantees client-generated oids
-   resolve on the server. *)
-let serve_workload ~slices ~work ~read_frac ~instances =
-  let readers = if read_frac > 0. then slices else 0 in
-  let schema = Workload.slice_schema ~readers ~methods:slices ~work () in
-  let an = Tavcc_core.Analysis.compile schema in
-  let store = Store.create schema in
-  Workload.populate store ~per_class:instances;
-  let digest = Wire.workload_digest ~slices ~work ~readers ~instances in
-  (an, store, digest)
-
 let serve_cmd =
   let run scheme_name addr domains shards policy queue_cap max_sessions drain_grace
       slices work instances read_frac metrics_fmt prom_out profile top_k data_dir
@@ -1500,19 +1479,25 @@ let serve_cmd =
     if pool_pages <> None && data_dir = None then
       usage_error "serve" "--pool-pages is only meaningful with --data-dir";
     let top_k = Option.value ~default:10 top_k in
-    let an, store, digest, eng =
+    (* serve and blast must agree on the workload store byte for byte:
+       [Workload.populate] is deterministic, so pinning (slices, work,
+       readers, instances) — the digest — guarantees client-generated
+       oids resolve on the server. *)
+    let readers = if read_frac > 0. then slices else 0 in
+    let schema = Workload.slice_schema ~readers ~methods:slices ~work () in
+    let an = Tavcc_core.Analysis.compile schema in
+    let digest = Wire.workload_digest ~slices ~work ~readers ~instances in
+    let store, eng =
       match data_dir with
       | None ->
-          let an, store, digest = serve_workload ~slices ~work ~read_frac ~instances in
-          (an, store, digest, None)
+          let store = Store.create schema in
+          Workload.populate store ~per_class:instances;
+          (store, None)
       | Some dir ->
           (* Durable serve: the directory is reused across restarts —
              recovery replays the WAL on open, and the deterministic
              populate only runs the first time, so client-generated oids
              keep resolving after a crash. *)
-          let readers = if read_frac > 0. then slices else 0 in
-          let schema = Workload.slice_schema ~readers ~methods:slices ~work () in
-          let an = Tavcc_core.Analysis.compile schema in
           let e = Storage.create (storage_config ~dir ~pool_pages) in
           let store = Storage.store e schema in
           if (Storage.stats e).Storage.s_instances = 0 then
@@ -1520,8 +1505,7 @@ let serve_cmd =
           else
             Printf.printf "oosim serve: recovered %d instances from %s\n%!"
               (Storage.stats e).Storage.s_instances dir;
-          let digest = Wire.workload_digest ~slices ~work ~readers ~instances in
-          (an, store, digest, Some e)
+          (store, Some e)
     in
     let scheme = (List.assoc scheme_name schemes) an in
     let metrics =
@@ -1696,12 +1680,8 @@ let blast_cmd =
       Workload.populate store ~per_class:instances;
       let rng = Rng.create (seed + (1_000 * i) + 1) in
       let js =
-        if read_frac > 0. then
-          Workload.mixed_slice_jobs rng store ~txns:requests ~actions_per_txn:actions
-            ~hot_instances:hot ~read_frac
-        else
-          Workload.slice_jobs rng store ~txns:requests ~actions_per_txn:actions
-            ~hot_instances:hot
+        Workload.mixed_slice_jobs rng store ~txns:requests ~actions_per_txn:actions
+          ~hot_instances:hot ~read_frac
       in
       Array.of_list (List.map snd js)
     in

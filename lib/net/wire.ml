@@ -1,5 +1,7 @@
 open Tavcc_model
 open Tavcc_cc
+module Codec = Tavcc_recovery.Codec
+module Tok = Codec.Tok
 
 let protocol_version = 2
 let max_payload = 1 lsl 20
@@ -28,35 +30,11 @@ type resp =
   | Err of string
   | Bye
 
-(* --- payload encoding: the chaos-codec token conventions --- *)
-
-let enc_int b n =
-  Buffer.add_string b (string_of_int n);
-  Buffer.add_char b ','
-
-let enc_str b s =
-  enc_int b (String.length s);
-  Buffer.add_string b s
-
-let enc_value b = function
-  | Value.Vint n ->
-      Buffer.add_char b 'i';
-      enc_int b n
-  | Value.Vbool v -> Buffer.add_string b (if v then "b1" else "b0")
-  | Value.Vstring s ->
-      Buffer.add_char b 's';
-      enc_str b s
-  | Value.Vfloat f ->
-      Buffer.add_char b 'f';
-      Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float f))
-  | Value.Vref oid ->
-      Buffer.add_char b 'r';
-      enc_int b (Oid.to_int oid)
-  | Value.Vnull -> Buffer.add_char b 'n'
+(* --- payload encoding: one-byte tags and Codec.Tok tokens --- *)
 
 let enc_values b vs =
-  enc_int b (List.length vs);
-  List.iter (enc_value b) vs
+  Tok.add_int b (List.length vs);
+  List.iter (Tok.add_value b) vs
 
 let enc_bool b v = Buffer.add_char b (if v then '1' else '0')
 
@@ -64,39 +42,39 @@ let enc_opt_int b = function
   | None -> Buffer.add_char b 'n'
   | Some n ->
       Buffer.add_char b 'v';
-      enc_int b n
+      Tok.add_int b n
 
 let enc_action b = function
   | Exec.Call (oid, m, args) ->
       Buffer.add_char b 'c';
-      enc_int b (Oid.to_int oid);
-      enc_str b (Name.Method.to_string m);
+      Tok.add_int b (Oid.to_int oid);
+      Tok.add_str b (Name.Method.to_string m);
       enc_values b args
   | Exec.Call_some { root; targets; meth; args } ->
       Buffer.add_char b 'm';
-      enc_str b (Name.Class.to_string root);
-      enc_int b (List.length targets);
-      List.iter (fun o -> enc_int b (Oid.to_int o)) targets;
-      enc_str b (Name.Method.to_string meth);
+      Tok.add_str b (Name.Class.to_string root);
+      Tok.add_int b (List.length targets);
+      List.iter (fun o -> Tok.add_int b (Oid.to_int o)) targets;
+      Tok.add_str b (Name.Method.to_string meth);
       enc_values b args
   | Exec.Call_extent { cls; deep; meth; args } ->
       Buffer.add_char b 'e';
-      enc_str b (Name.Class.to_string cls);
+      Tok.add_str b (Name.Class.to_string cls);
       enc_bool b deep;
-      enc_str b (Name.Method.to_string meth);
+      Tok.add_str b (Name.Method.to_string meth);
       enc_values b args
   | Exec.Call_range { cls; deep; pred; meth; args } ->
       Buffer.add_char b 'g';
-      enc_str b (Name.Class.to_string cls);
+      Tok.add_str b (Name.Class.to_string cls);
       enc_bool b deep;
-      enc_str b (Name.Field.to_string pred.Tavcc_lock.Pred.field);
+      Tok.add_str b (Name.Field.to_string pred.Tavcc_lock.Pred.field);
       enc_opt_int b pred.Tavcc_lock.Pred.lo;
       enc_opt_int b pred.Tavcc_lock.Pred.hi;
-      enc_str b (Name.Method.to_string meth);
+      Tok.add_str b (Name.Method.to_string meth);
       enc_values b args
 
 let enc_actions b acts =
-  enc_int b (List.length acts);
+  Tok.add_int b (List.length acts);
   List.iter (enc_action b) acts
 
 let encode_req r =
@@ -104,43 +82,43 @@ let encode_req r =
   (match r with
   | Hello { version; digest; client } ->
       Buffer.add_char b 'H';
-      enc_int b version;
-      enc_str b digest;
-      enc_str b client
+      Tok.add_int b version;
+      Tok.add_str b digest;
+      Tok.add_str b client
   | Run { rq; actions } ->
       Buffer.add_char b 'T';
-      enc_int b rq;
+      Tok.add_int b rq;
       enc_actions b actions
   | Begin { rq } ->
       Buffer.add_char b 'B';
-      enc_int b rq
+      Tok.add_int b rq
   | Stmt { rq; action } ->
       Buffer.add_char b 'S';
-      enc_int b rq;
+      Tok.add_int b rq;
       enc_action b action
   | Commit { rq } ->
       Buffer.add_char b 'C';
-      enc_int b rq
+      Tok.add_int b rq
   | Rollback { rq } ->
       Buffer.add_char b 'A';
-      enc_int b rq
+      Tok.add_int b rq
   | Ping { rq } ->
       Buffer.add_char b 'P';
-      enc_int b rq
+      Tok.add_int b rq
   | Quit -> Buffer.add_char b 'Q');
   Buffer.contents b
 
 let encode_status b = function
   | Committed { restarts } ->
       Buffer.add_char b 'c';
-      enc_int b restarts
+      Tok.add_int b restarts
   | Aborted msg ->
       Buffer.add_char b 'a';
-      enc_str b msg
+      Tok.add_str b msg
   | Rejected -> Buffer.add_char b 'j'
   | Failed msg ->
       Buffer.add_char b 'f';
-      enc_str b msg
+      Tok.add_str b msg
   | Done -> Buffer.add_char b 'd'
 
 let encode_resp r =
@@ -148,178 +126,124 @@ let encode_resp r =
   (match r with
   | Welcome { version; scheme; digest; banner } ->
       Buffer.add_char b 'W';
-      enc_int b version;
-      enc_str b scheme;
-      enc_str b digest;
-      enc_str b banner
+      Tok.add_int b version;
+      Tok.add_str b scheme;
+      Tok.add_str b digest;
+      Tok.add_str b banner
   | Reply { rq; status; latency_us } ->
       Buffer.add_char b 'R';
-      enc_int b rq;
-      enc_int b latency_us;
+      Tok.add_int b rq;
+      Tok.add_int b latency_us;
       encode_status b status
   | Pong { rq } ->
       Buffer.add_char b 'O';
-      enc_int b rq
+      Tok.add_int b rq
   | Err msg ->
       Buffer.add_char b 'E';
-      enc_str b msg
+      Tok.add_str b msg
   | Bye -> Buffer.add_char b 'Y');
   Buffer.contents b
 
-(* --- payload decoding: total, longest-error-message-wins --- *)
+(* --- payload decoding: one Codec.Tok walker per payload --- *)
 
 exception Bad of string
 
-type cursor = { s : string; mutable pos : int }
-
-let take c n =
-  if n < 0 || c.pos + n > String.length c.s then raise (Bad "short payload");
-  let r = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  r
-
-let dec_char c = (take c 1).[0]
-
-let dec_int c =
-  let start = c.pos in
-  let rec find i =
-    if i >= String.length c.s then raise (Bad "unterminated int")
-    else if c.s.[i] = ',' then i
-    else find (i + 1)
-  in
-  let stop = find start in
-  c.pos <- stop + 1;
-  match int_of_string_opt (String.sub c.s start (stop - start)) with
-  | Some n -> n
-  | None -> raise (Bad "malformed int")
-
-let dec_str c = take c (dec_int c)
-
-let dec_value c =
-  match dec_char c with
-  | 'i' -> Value.Vint (dec_int c)
-  | 'b' -> (
-      match dec_char c with
-      | '0' -> Value.Vbool false
-      | '1' -> Value.Vbool true
-      | _ -> raise (Bad "bad bool"))
-  | 's' -> Value.Vstring (dec_str c)
-  | 'f' -> (
-      let hex = take c 16 in
-      match Int64.of_string_opt ("0x" ^ hex) with
-      | Some bits -> Value.Vfloat (Int64.float_of_bits bits)
-      | None -> raise (Bad "bad float bits"))
-  | 'r' -> Value.Vref (Oid.of_int (dec_int c))
-  | 'n' -> Value.Vnull
-  | _ -> raise (Bad "bad value tag")
-
-let dec_list c dec =
-  let n = dec_int c in
+let dec_list w dec =
+  let n = Tok.int w in
   if n < 0 || n > max_payload then raise (Bad "bad list length");
-  List.init n (fun _ -> dec c)
+  List.init n (fun _ -> dec w)
 
-let dec_values c = dec_list c dec_value
+let dec_values w = dec_list w Tok.value
 
-let dec_bool c =
-  match dec_char c with
-  | '0' -> false
-  | '1' -> true
-  | _ -> raise (Bad "bad bool flag")
-
-let dec_opt_int c =
-  match dec_char c with
+let dec_opt_int w =
+  match Tok.char w with
   | 'n' -> None
-  | 'v' -> Some (dec_int c)
+  | 'v' -> Some (Tok.int w)
   | _ -> raise (Bad "bad option tag")
 
-let dec_action c =
-  match dec_char c with
+let dec_action w =
+  match Tok.char w with
   | 'c' ->
-      let oid = Oid.of_int (dec_int c) in
-      let m = Name.Method.of_string (dec_str c) in
-      Exec.Call (oid, m, dec_values c)
+      let oid = Oid.of_int (Tok.int w) in
+      let m = Name.Method.of_string (Tok.str w) in
+      Exec.Call (oid, m, dec_values w)
   | 'm' ->
-      let root = Name.Class.of_string (dec_str c) in
-      let targets = dec_list c (fun c -> Oid.of_int (dec_int c)) in
-      let meth = Name.Method.of_string (dec_str c) in
-      Exec.Call_some { root; targets; meth; args = dec_values c }
+      let root = Name.Class.of_string (Tok.str w) in
+      let targets = dec_list w (fun w -> Oid.of_int (Tok.int w)) in
+      let meth = Name.Method.of_string (Tok.str w) in
+      Exec.Call_some { root; targets; meth; args = dec_values w }
   | 'e' ->
-      let cls = Name.Class.of_string (dec_str c) in
-      let deep = dec_bool c in
-      let meth = Name.Method.of_string (dec_str c) in
-      Exec.Call_extent { cls; deep; meth; args = dec_values c }
+      let cls = Name.Class.of_string (Tok.str w) in
+      let deep = Tok.bool w in
+      let meth = Name.Method.of_string (Tok.str w) in
+      Exec.Call_extent { cls; deep; meth; args = dec_values w }
   | 'g' ->
-      let cls = Name.Class.of_string (dec_str c) in
-      let deep = dec_bool c in
-      let field = Name.Field.of_string (dec_str c) in
-      let lo = dec_opt_int c in
-      let hi = dec_opt_int c in
-      let meth = Name.Method.of_string (dec_str c) in
+      let cls = Name.Class.of_string (Tok.str w) in
+      let deep = Tok.bool w in
+      let field = Name.Field.of_string (Tok.str w) in
+      let lo = dec_opt_int w in
+      let hi = dec_opt_int w in
+      let meth = Name.Method.of_string (Tok.str w) in
       Exec.Call_range
-        { cls; deep; pred = { Tavcc_lock.Pred.field; lo; hi }; meth; args = dec_values c }
+        { cls; deep; pred = { Tavcc_lock.Pred.field; lo; hi }; meth; args = dec_values w }
   | _ -> raise (Bad "bad action tag")
 
-let dec_actions c = dec_list c dec_action
+let dec_actions w = dec_list w dec_action
 
-let finish c v =
-  if c.pos <> String.length c.s then raise (Bad "trailing bytes");
-  v
+(* One message from the whole of [s]: a bad tag keeps its own message,
+   a token the walker refuses says where decoding stopped. *)
+let decode dec s =
+  let w = Tok.walker s ~pos:0 ~stop:(String.length s) in
+  match dec w with
+  | m -> if Tok.at_end w then Ok m else Error "trailing bytes"
+  | exception Bad msg -> Error msg
+  | exception Tok.Malformed -> Error (Printf.sprintf "malformed token at byte %d" (Tok.pos w))
 
-let decode_req s =
-  let c = { s; pos = 0 } in
-  match
-    finish c
-      (match dec_char c with
+let decode_req =
+  decode (fun w ->
+      match Tok.char w with
       | 'H' ->
-          let version = dec_int c in
-          let digest = dec_str c in
-          Hello { version; digest; client = dec_str c }
+          let version = Tok.int w in
+          let digest = Tok.str w in
+          Hello { version; digest; client = Tok.str w }
       | 'T' ->
-          let rq = dec_int c in
-          Run { rq; actions = dec_actions c }
-      | 'B' -> Begin { rq = dec_int c }
+          let rq = Tok.int w in
+          Run { rq; actions = dec_actions w }
+      | 'B' -> Begin { rq = Tok.int w }
       | 'S' ->
-          let rq = dec_int c in
-          Stmt { rq; action = dec_action c }
-      | 'C' -> Commit { rq = dec_int c }
-      | 'A' -> Rollback { rq = dec_int c }
-      | 'P' -> Ping { rq = dec_int c }
+          let rq = Tok.int w in
+          Stmt { rq; action = dec_action w }
+      | 'C' -> Commit { rq = Tok.int w }
+      | 'A' -> Rollback { rq = Tok.int w }
+      | 'P' -> Ping { rq = Tok.int w }
       | 'Q' -> Quit
       | _ -> raise (Bad "bad request tag"))
-  with
-  | r -> Ok r
-  | exception Bad msg -> Error msg
 
-let dec_status c =
-  match dec_char c with
-  | 'c' -> Committed { restarts = dec_int c }
-  | 'a' -> Aborted (dec_str c)
+let dec_status w =
+  match Tok.char w with
+  | 'c' -> Committed { restarts = Tok.int w }
+  | 'a' -> Aborted (Tok.str w)
   | 'j' -> Rejected
-  | 'f' -> Failed (dec_str c)
+  | 'f' -> Failed (Tok.str w)
   | 'd' -> Done
   | _ -> raise (Bad "bad status tag")
 
-let decode_resp s =
-  let c = { s; pos = 0 } in
-  match
-    finish c
-      (match dec_char c with
+let decode_resp =
+  decode (fun w ->
+      match Tok.char w with
       | 'W' ->
-          let version = dec_int c in
-          let scheme = dec_str c in
-          let digest = dec_str c in
-          Welcome { version; scheme; digest; banner = dec_str c }
+          let version = Tok.int w in
+          let scheme = Tok.str w in
+          let digest = Tok.str w in
+          Welcome { version; scheme; digest; banner = Tok.str w }
       | 'R' ->
-          let rq = dec_int c in
-          let latency_us = dec_int c in
-          Reply { rq; latency_us; status = dec_status c }
-      | 'O' -> Pong { rq = dec_int c }
-      | 'E' -> Err (dec_str c)
+          let rq = Tok.int w in
+          let latency_us = Tok.int w in
+          Reply { rq; latency_us; status = dec_status w }
+      | 'O' -> Pong { rq = Tok.int w }
+      | 'E' -> Err (Tok.str w)
       | 'Y' -> Bye
       | _ -> raise (Bad "bad response tag"))
-  with
-  | r -> Ok r
-  | exception Bad msg -> Error msg
 
 let pp_req ppf = function
   | Hello { version; digest; client } ->
@@ -348,12 +272,12 @@ let pp_resp ppf = function
   | Err m -> Format.fprintf ppf "Err{%s}" m
   | Bye -> Format.pp_print_string ppf "Bye"
 
-(* --- framing: the chaos codec's envelope --- *)
+(* --- framing: the Codec envelope --- *)
 
-let frame = Tavcc_chaos.Codec.frame
+let frame = Codec.frame
 
 (* The scanner [unframe] and [Io.read_frame] share. *)
-let scan b ~pos ~stop = Tavcc_chaos.Codec.scan ~max:max_payload b ~pos ~stop
+let scan b ~pos ~stop = Codec.scan ~max:max_payload b ~pos ~stop
 
 let unframe buf ~pos =
   match scan (Bytes.unsafe_of_string buf) ~pos ~stop:(String.length buf) with

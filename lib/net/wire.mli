@@ -1,16 +1,18 @@
 (** The oosim wire protocol.
 
-    Messages travel in the chaos WAL codec's envelope, built by
-    {!Tavcc_chaos.Codec.frame}:
+    Messages travel in the WAL's frame envelope, built by
+    {!Tavcc_recovery.Codec.frame}:
 
     {v <8 hex: payload length> <8 hex: FNV-1a/32 of payload> <payload> v}
 
     so a reader can always tell "not yet enough bytes" ({!Incomplete})
     from "bytes are wrong" ({!Corrupt}) — the length is validated before
     the checksum, the checksum before the payload is parsed, and the
-    payload parser itself never raises.  Payload tokens reuse the codec's
-    conventions: ints are decimal with a trailing [','], strings are
-    length-prefixed, floats are the 16 hex digits of their IEEE bits.
+    payload parser itself never raises.  A payload is a one-byte message
+    tag and then tokens of {!Tavcc_recovery.Codec.Tok}, the codec WAL
+    records and page records use: ints are decimal with a trailing
+    [','], strings are length-prefixed, floats are the 16 hex digits of
+    their IEEE bits.
 
     A connection starts with client {!Hello} / server {!Welcome} (version
     and workload-digest agreement), then the client issues any mix of
@@ -62,8 +64,11 @@ type resp =
 (** {1 Payload codecs}
 
     Total: [decode_*] never raises, and accepts exactly the strings
-    [encode_*] produces (trailing garbage is an error — a frame is one
-    message). *)
+    [encode_*] produces.  Trailing garbage is an error (a frame is one
+    message), and so is any int or float form the encoders never write:
+    a ['+'] sign, ["-0"], a leading zero, a radix prefix, an underscore,
+    uppercase hex.  A bad tag is named in the error; a refused token
+    gives the byte offset where decoding stopped. *)
 
 val encode_req : req -> string
 val decode_req : string -> (req, string) result
@@ -76,7 +81,7 @@ val pp_resp : Format.formatter -> resp -> unit
 (** {1 Framing} *)
 
 val frame : string -> string
-(** Length + checksum + payload: {!Tavcc_chaos.Codec.frame}. *)
+(** Length + checksum + payload: {!Tavcc_recovery.Codec.frame}. *)
 
 val unframe : string -> pos:int -> [ `Frame of string * int | `Incomplete | `Corrupt of string ]
 (** [unframe buf ~pos] inspects the bytes from [pos]: [`Frame (payload,

@@ -1,5 +1,4 @@
 open Tavcc_model
-open Tavcc_recovery
 
 let hex_digits = "0123456789abcdef"
 

@@ -1,10 +1,10 @@
 (** Byte-level framing of WAL records, for torn-tail simulation.
 
-    {!Tavcc_recovery.Wal} keeps records as values; real logs are byte
-    streams, and real crashes cut them at arbitrary byte offsets — most
-    interestingly {e inside} the last record (a torn write).  This codec
-    gives the in-memory log a faithful byte representation: each record
-    is framed as
+    {!Wal} keeps records as values; real logs are byte streams, and real
+    crashes cut them at arbitrary byte offsets — most interestingly
+    {e inside} the last record (a torn write).  This codec gives the
+    in-memory log a faithful byte representation: each record is framed
+    as
 
     {v <len:8 hex chars><checksum:8 hex chars><payload:len bytes> v}
 
@@ -13,7 +13,7 @@
     valid record prefix — exactly the recovery-time behaviour of a real
     log scanner finding a torn tail.  The chaos harness encodes a flushed
     image, cuts it at a byte offset, decodes, and feeds the surviving
-    prefix to {!Tavcc_recovery.Restart.recover}. *)
+    prefix to {!Recovery.Restart.recover}. *)
 
 open Tavcc_model
 
@@ -67,9 +67,10 @@ val scan :
 
 (** {1 Tokens}
 
-    The one token codec: WAL payloads here and the page store's record
-    payloads ([Tavcc_storage.Page.Rec]) are sequences of these tokens,
-    with no separators beyond their own terminators.
+    The one token codec: WAL payloads here, the page store's record
+    payloads ([Tavcc_storage.Page.Rec]) and wire messages
+    ([Tavcc_net.Wire]) are sequences of these tokens, with no separators
+    beyond their own terminators.
 
     - an int is its decimal digits (a leading ['-'] if negative) and a
       [','], e.g. [-42,];
@@ -108,6 +109,7 @@ module Tok : sig
   (** Exactly the forms {!add_int} writes, [min_int] and [max_int]
       included. *)
 
+  val bool : walker -> bool
   val str : walker -> string
   val skip_str : walker -> unit
   val value : walker -> Value.t
@@ -116,21 +118,21 @@ end
 
 (** {1 WAL records} *)
 
-val encode_record : Tavcc_recovery.Wal.record -> string
+val encode_record : Wal.record -> string
 (** One framed record. *)
 
-val encode : Tavcc_recovery.Wal.record list -> string
+val encode : Wal.record list -> string
 (** The concatenation of the framed records, oldest first. *)
 
-val decode : string -> Tavcc_recovery.Wal.record list
+val decode : string -> Wal.record list
 (** The longest prefix of well-formed frames: scanning stops (without
     raising) at a truncated header, a truncated payload, a checksum
     mismatch, or a payload that does not parse back to a record. *)
 
-val decode_from : string -> Tavcc_recovery.Wal.record list * int
+val decode_from : string -> Wal.record list * int
 (** {!decode}, with the byte offset where that valid prefix ends: the
     length a log file with a torn tail is cut back to. *)
 
-val decode_exact : string -> Tavcc_recovery.Wal.record list
+val decode_exact : string -> Wal.record list
 (** Like {!decode} but refuses torn input.
     @raise Invalid_argument unless the whole string is consumed *)

@@ -299,25 +299,6 @@ let grid_methods store ~prefix =
   Schema.methods (Store.schema store) grid
   |> List.filter (fun m -> String.length (MN.to_string m) > 0 && (MN.to_string m).[0] = prefix)
 
-let slice_jobs rng store ~txns ~actions_per_txn ~hot_instances =
-  let grid = CN.of_string "grid" in
-  let ext = Array.of_list (Store.extent store grid) in
-  let n = Array.length ext in
-  if n = 0 then invalid_arg "Workload.slice_jobs: no grid instances";
-  let hot = max 1 (min hot_instances n) in
-  let slices =
-    match grid_methods store ~prefix:'u' with
-    | [] -> invalid_arg "Workload.slice_jobs: grid has no methods"
-    | ms -> Array.of_list ms
-  in
-  List.init txns (fun i ->
-      let id = i + 1 in
-      let meth = slices.(i mod Array.length slices) in
-      ( id,
-        List.init actions_per_txn (fun _ ->
-            Tavcc_cc.Exec.Call
-              (ext.(Rng.int rng hot), meth, [ Value.Vint (Rng.int rng 100) ])) ))
-
 let mixed_slice_jobs rng store ~txns ~actions_per_txn ~hot_instances ~read_frac =
   let grid = CN.of_string "grid" in
   let ext = Array.of_list (Store.extent store grid) in
@@ -337,6 +318,9 @@ let mixed_slice_jobs rng store ~txns ~actions_per_txn ~hot_instances ~read_frac 
         List.init actions_per_txn (fun _ ->
             Tavcc_cc.Exec.Call
               (ext.(Rng.int rng hot), meth, [ Value.Vint (Rng.int rng 100) ])) ))
+
+let slice_jobs rng store ~txns ~actions_per_txn ~hot_instances =
+  mixed_slice_jobs rng store ~txns ~actions_per_txn ~hot_instances ~read_frac:0.
 
 let populate store ~per_class =
   let schema = Store.schema store in

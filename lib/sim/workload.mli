@@ -82,7 +82,8 @@ val slice_jobs :
     few instances — full contention for instance locking (including
     lock-order deadlocks across the hot set), none for field-disjoint
     modes.  Only the [u*] slice methods are used.  Transaction ids start
-    at 1. *)
+    at 1.  This is {!mixed_slice_jobs} with [read_frac = 0.], which draws
+    nothing for the read/write choice. *)
 
 val mixed_slice_jobs :
   Rng.t ->

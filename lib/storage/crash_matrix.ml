@@ -1,6 +1,5 @@
 open Tavcc_model
 open Tavcc_recovery
-module Codec = Tavcc_chaos.Codec
 module Fault = Tavcc_chaos.Fault
 module Rng = Tavcc_sim.Rng
 module CN = Name.Class

@@ -1,6 +1,5 @@
 open Tavcc_model
 open Tavcc_recovery
-module Codec = Tavcc_chaos.Codec
 module CN = Name.Class
 module FN = Name.Field
 

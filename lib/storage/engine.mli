@@ -8,7 +8,7 @@
       pages 1.. are {!Page} slotted pages of serialized instances.  This
       is format 2; a format-1 directory (FNV-1a/32 page checksums) is
       refused at {!create}, not converted;
-    - [wal.log] — {!Tavcc_chaos.Codec}-framed {!Tavcc_recovery.Wal}
+    - [wal.log] — {!Tavcc_recovery.Codec}-framed {!Tavcc_recovery.Wal}
       records.  Memory holds only the unwritten tail, a count of the
       records, and each active transaction's own changes (its undo
       list), so what the log costs in memory is bounded by in-flight

@@ -1,5 +1,5 @@
 open Tavcc_model
-module Codec = Tavcc_chaos.Codec
+module Codec = Tavcc_recovery.Codec
 
 (* --- fixed-width hex fields ---
 
@@ -352,7 +352,7 @@ let is_zero b = zero_from b 0
 
 (* --- instance record payloads ---
 
-   A record is a sequence of the chaos Codec's tokens: oid, class, slot
+   A record is a sequence of Codec's tokens: oid, class, slot
    count, then each slot's field name and value.  Records carry field
    *names* so a log or a page replays without a schema in hand. *)
 

@@ -7,7 +7,7 @@
     bytes but never renumbers slots, so an (oid → page, slot) directory
     entry stays valid for the record's lifetime on the page.
 
-    The header reuses the chaos {!Tavcc_chaos.Codec} discipline: every
+    The header reuses the {!Tavcc_recovery.Codec} discipline: every
     integer is fixed-width hex.  Bytes [0, 8) are the 8-hex {!checksum}
     of bytes [8, size), and bytes [8, 12) the magic ["TVP2"] of format 2,
     so a torn page write is detected at {!check} and repaired from the
@@ -87,7 +87,7 @@ val checksum : bytes -> int
     is a multiple of 4 (the short tail word included) always changes
     the checksum, whatever its bits.  Other damage (swapped words, a
     zeroed or torn sector) is caught with the odds of a 32-bit hash.
-    The WAL and wire frames keep {!Tavcc_chaos.Codec.fnv32_sub}.
+    The WAL and wire frames keep {!Tavcc_recovery.Codec.fnv32_sub}.
     @raise Invalid_argument on an image shorter than 8 bytes *)
 
 val stamp : t -> unit
@@ -118,9 +118,9 @@ val is_zero : bytes -> bool
     non-zero byte. *)
 
 (** Instance record payloads: oid, class and named field values, in the
-    store's slot order, as tokens of {!Tavcc_chaos.Codec.Tok} — the WAL's
-    token codec.  Self-describing: a page or a WAL record replays
-    without the schema. *)
+    store's slot order, as tokens of {!Tavcc_recovery.Codec.Tok} — the
+    token codec of WAL records and wire messages.  Self-describing: a
+    page or a WAL record replays without the schema. *)
 module Rec : sig
   type t = { r_oid : int; r_cls : string; r_slots : (string * Value.t) array }
 

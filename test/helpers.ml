@@ -134,7 +134,7 @@ let check_sums store tbl =
 
 (* --- the token encoding, spelled out as a reference ---
 
-   What the shared token codec ([Tavcc_chaos.Codec.Tok]) must write,
+   What the shared token codec ([Tavcc_recovery.Codec.Tok]) must write,
    byte for byte: ints through [string_of_int], float bits through
    [Printf], one token after another. *)
 module Ref_tok = struct

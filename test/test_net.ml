@@ -1,12 +1,13 @@
 (* The network front-end: wire codec, job service, and the server itself.
 
    Four groups:
-   - codec totality (qcheck): random messages round-trip canonically,
-     every byte-prefix cut of a frame stays [`Incomplete] (mirroring the
-     chaos WAL cut property), every single-bit flip is caught by the
-     checksum, and the decoders never raise on garbage; one [Wire.Io]
-     reads a long stream in random chunks, in order and in bounded
-     allocation per frame;
+   - the codec: pinned literal encodings of every message shape; random
+     messages round-trip canonically, every byte-prefix cut of a frame
+     stays [`Incomplete] (mirroring the WAL cut property), every
+     single-bit flip is caught by the checksum, and the decoders never
+     raise on garbage and accept only what the encoders write; one
+     [Wire.Io] reads a long stream in random chunks, in order and in
+     bounded allocation per frame;
    - the job service: submit/drain bookkeeping, deterministic admission
      control (workers wedged behind a held lock fill the queue), and
      [Closed] after stop;
@@ -173,7 +174,7 @@ let roundtrip_resp =
             QCheck.Test.fail_reportf "re-encode diverged";
           true)
 
-(* Mirror of the chaos codec cut property: a strict prefix of one frame
+(* Mirror of the WAL codec cut property: a strict prefix of one frame
    is never a frame and never an error — the reader must keep waiting. *)
 let every_cut =
   QCheck.Test.make ~count:100 ~name:"wire: every byte-prefix cut is Incomplete" arb_req
@@ -207,14 +208,174 @@ let bit_flip =
       | `Frame _ -> QCheck.Test.fail_reportf "flip at byte %d bit %d undetected" i b);
       true)
 
+(* Forms no encoder writes: a sign, leading zeros, a radix prefix, an
+   underscore, "-0" and uppercase float hex. *)
+let non_canonical =
+  [
+    "B+7,"; "B007,"; "B0x7,"; "B0o7,"; "B-0,"; "B1_0,";
+    "S1,c5,1,m1,f3FF0000000000000"; "R3,0412,c0,"; "R3,412,c-0,";
+  ]
+
+(* A valid encoding with one byte replaced, inserted or deleted; the
+   byte is often one that a lax int or hex parser would take. *)
+let gen_edit =
+  QCheck.Gen.(
+    let* s = oneof [ map Wire.encode_req gen_req; map Wire.encode_resp gen_resp ] in
+    let* i = int_bound (String.length s - 1) in
+    let* c = oneof [ oneofl [ '+'; '-'; '0'; '_'; 'x'; 'o'; 'F'; ',' ]; char ] in
+    let+ kind = int_bound 2 in
+    let pre = String.sub s 0 i and post = String.sub s (i + 1) (String.length s - i - 1) in
+    match kind with
+    | 0 -> pre ^ String.make 1 c ^ post
+    | 1 -> pre ^ String.make 1 c ^ String.make 1 s.[i] ^ post
+    | _ -> pre ^ post)
+
+(* Total, and exact: whatever decodes must re-encode to its input. *)
 let garbage_total =
   QCheck.Test.make ~count:300 ~name:"wire: decoders are total on garbage"
-    QCheck.(string_gen QCheck.Gen.(char_range '\000' '\255'))
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [
+             (2, string_size ~gen:char (0 -- 40));
+             (3, gen_edit);
+             (1, oneofl non_canonical);
+           ]))
     (fun s ->
-      (match Wire.decode_req s with Ok _ | Error _ -> ());
-      (match Wire.decode_resp s with Ok _ | Error _ -> ());
+      (match Wire.decode_req s with
+      | Ok m when Wire.encode_req m <> s ->
+          QCheck.Test.fail_reportf "request re-encodes as %S" (Wire.encode_req m)
+      | Ok _ | Error _ -> ());
+      (match Wire.decode_resp s with
+      | Ok m when Wire.encode_resp m <> s ->
+          QCheck.Test.fail_reportf "response re-encodes as %S" (Wire.encode_resp m)
+      | Ok _ | Error _ -> ());
       (match Wire.unframe s ~pos:0 with `Frame _ | `Incomplete | `Corrupt _ -> ());
       true)
+
+(* --- pinned bytes ---------------------------------------------------------- *)
+
+(* Literal encodings of every constructor, all four action kinds and the
+   value corners (0, -1, min_int, max_int, -0., a quiet nan, ±inf, a
+   string holding ',' and bytes >= 0x80).  The bytes may not drift
+   without a protocol version bump. *)
+let call o m args = Exec.Call (Oid.of_int o, MN.of_string m, args)
+let qnan = Int64.float_of_bits 0x7ff8000000000000L
+
+let pinned_reqs =
+  [
+    (Wire.Hello { version = 2; digest = "5e8a"; client = "blast-0" }, "H2,4,5e8a7,blast-0");
+    ( Wire.Run
+        {
+          rq = 7;
+          actions =
+            [
+              call 3 "u0" [ Value.Vint 42 ];
+              call 1 "u1" [ Value.Vint 0 ];
+              call 3 "u2" [ Value.Vint 99 ];
+              call 2 "u3" [ Value.Vint 7 ];
+            ];
+        },
+      "T7,4,c3,2,u01,i42,c1,2,u11,i0,c3,2,u21,i99,c2,2,u31,i7," );
+    (Wire.Begin { rq = 0 }, "B0,");
+    (Wire.Stmt { rq = 1; action = call 5 "m" [ Value.Vfloat 1.0 ] }, "S1,c5,1,m1,f3ff0000000000000");
+    ( Wire.Stmt
+        {
+          rq = 2;
+          action =
+            Exec.Call_some
+              {
+                root = CN.of_string "acct";
+                targets = [ Oid.of_int 1; Oid.of_int 20 ];
+                meth = MN.of_string "touch";
+                args = [];
+              };
+        },
+      "S2,m4,acct2,1,20,5,touch0," );
+    ( Wire.Stmt
+        {
+          rq = 3;
+          action =
+            Exec.Call_extent
+              {
+                cls = CN.of_string "grid";
+                deep = true;
+                meth = MN.of_string "u0";
+                args = [ Value.Vbool false; Value.Vnull ];
+              };
+        },
+      "S3,e4,grid12,u02,b0n" );
+    ( Wire.Stmt
+        {
+          rq = 4;
+          action =
+            Exec.Call_range
+              {
+                cls = CN.of_string "grid";
+                deep = false;
+                pred = { Tavcc_lock.Pred.field = FN.of_string "s0"; lo = Some (-5); hi = None };
+                meth = MN.of_string "probe";
+                args = [ Value.Vref (Oid.of_int 9) ];
+              };
+        },
+      "S4,g4,grid02,s0v-5,n5,probe1,r9," );
+    ( Wire.Stmt
+        {
+          rq = 5;
+          action =
+            call 0 "f" [ Value.Vint 0; Value.Vint (-1); Value.Vint min_int; Value.Vint max_int ];
+        },
+      "S5,c0,1,f4,i0,i-1,i-4611686018427387904,i4611686018427387903," );
+    ( Wire.Stmt
+        {
+          rq = 6;
+          action =
+            call 2 "g"
+              [
+                Value.Vfloat (-0.);
+                Value.Vfloat qnan;
+                Value.Vfloat infinity;
+                Value.Vfloat neg_infinity;
+              ];
+        },
+      "S6,c2,1,g4,f8000000000000000f7ff8000000000000f7ff0000000000000ffff0000000000000" );
+    ( Wire.Stmt
+        {
+          rq = 7;
+          action =
+            call 4 "s" [ Value.Vstring "a,b"; Value.Vstring "\xff\x80,"; Value.Vbool true ];
+        },
+      "S7,c4,1,s3,s3,a,bs3,\255\128,b1" );
+    (Wire.Commit { rq = max_int }, "C4611686018427387903,");
+    (Wire.Rollback { rq = min_int }, "A-4611686018427387904,");
+    (Wire.Ping { rq = -1 }, "P-1,");
+    (Wire.Quit, "Q");
+  ]
+
+let pinned_resps =
+  [
+    ( Wire.Welcome { version = 2; scheme = "tav"; digest = ""; banner = "oosim, 2 domains" },
+      "W2,3,tav0,16,oosim, 2 domains" );
+    (Wire.Reply { rq = 3; status = Wire.Committed { restarts = 0 }; latency_us = 412 }, "R3,412,c0,");
+    (Wire.Reply { rq = 4; status = Wire.Aborted "deadlock"; latency_us = 9 }, "R4,9,a8,deadlock");
+    (Wire.Reply { rq = 5; status = Wire.Rejected; latency_us = 0 }, "R5,0,j");
+    (Wire.Reply { rq = 6; status = Wire.Failed "x"; latency_us = 1 }, "R6,1,f1,x");
+    (Wire.Reply { rq = 7; status = Wire.Done; latency_us = 2 }, "R7,2,d");
+    (Wire.Pong { rq = 12 }, "O12,");
+    (Wire.Err "bad request", "E11,bad request");
+    (Wire.Bye, "Y");
+  ]
+
+(* [compare], not [=]: a nan argument equals itself under [compare]. *)
+let check_pinned encode decode pp (m, bytes) =
+  Alcotest.(check string) (Format.asprintf "encode %a" pp m) bytes (encode m);
+  match decode bytes with
+  | Ok m' -> Alcotest.(check bool) (Printf.sprintf "decode %S" bytes) true (compare m m' = 0)
+  | Error e -> Alcotest.failf "decode %S: %s" bytes e
+
+let test_pinned_bytes () =
+  List.iter (check_pinned Wire.encode_req Wire.decode_req Wire.pp_req) pinned_reqs;
+  List.iter (check_pinned Wire.encode_resp Wire.decode_resp Wire.pp_resp) pinned_resps
 
 (* --- one Io past 64 KiB --------------------------------------------------- *)
 
@@ -763,4 +924,5 @@ let suite =
       test_e2e_handshake_refusals;
     Alcotest.test_case "client: a silent peer times out, no raise" `Quick
       test_silent_peer_times_out;
+    Alcotest.test_case "wire: pinned bytes of every message shape" `Quick test_pinned_bytes;
   ]

@@ -346,7 +346,6 @@ let prop_disk_every_prefix =
     (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)) (fun seed ->
       let module Engine = Tavcc_storage.Engine in
       let module Matrix = Tavcc_storage.Crash_matrix in
-      let module Codec = Tavcc_chaos.Codec in
       let rec rm path =
         if Sys.file_exists path then
           if Sys.is_directory path then begin

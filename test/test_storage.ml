@@ -6,7 +6,7 @@ module Page = Tavcc_storage.Page
 module Pool = Tavcc_storage.Buffer_pool
 module Engine = Tavcc_storage.Engine
 module Matrix = Tavcc_storage.Crash_matrix
-module Codec = Tavcc_chaos.Codec
+module Codec = Tavcc_recovery.Codec
 module Fault = Tavcc_chaos.Fault
 module Wal = Tavcc_recovery.Wal
 module Rng = Tavcc_sim.Rng
